@@ -17,7 +17,7 @@ from .core import (
 )
 from .cost import CostParams, census_transform, match_cost
 from .disparity import DisparityParams, fill_invalid, lr_consistency, subpixel_refine, wta
-from .fusion import FusionParams, fuse_scales, fusion_matrix
+from .fusion import FusionParams, finest_weights, fuse_scales, fusion_matrix
 from .metrics import ConfusionCounts, UndefinedMetricError, accuracy, auc, confusion, sensitivity
 from .reconstruct import CameraRig, PointCloud, export_ply, triangulate
 from .wls import SolverError, WlsParams, decompose, wls_filter

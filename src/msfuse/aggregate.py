@@ -6,11 +6,11 @@ induced by the guide image,
     L(i,j) = 1/|lam|^2 * sum_{l: i,j in lam_l} [1 + (W_i - d_l)(W_j - d_l)
                                                     / (phi_l^2 + xi)]
 
-normalized by N_i = sum_j L(i,j). The production path is the standard
+normalized by N_i = sum_j L(i,j). The implementation is the standard
 two-pass box-filter algorithm (per-window linear fit, then averaging of
 the coefficients), which coincides with the explicit kernel sum at
-pixels whose every covering window lies fully inside the image;
-``kernel_weight`` keeps the explicit form around as the test oracle.
+pixels whose every covering window lies fully inside the image; the
+explicit form is the oracle in tests/test_aggregate.py.
 """
 
 from dataclasses import dataclass
@@ -63,48 +63,6 @@ def box_mean(img, radius):
     """Mean over the (2r+1)^2 window, shrinking at the borders."""
     img = validate_image(img)
     return _box_sum(img, radius) / window_counts(img.shape, radius)
-
-
-def kernel_weight(guide, i, j, params):
-    """Explicit guided-filter kernel L(i,j); the slow oracle form.
-
-    i and j are (row, col) pairs. Sums over every window center l whose
-    clipped window contains both pixels; window statistics use the actual
-    (clipped) pixels, the 1/|lam|^2 prefactor uses the full window size.
-    """
-    guide = validate_image(guide)
-    height, width = guide.shape
-    r = params.radius
-    full = (2 * r + 1) ** 2
-    iy, ix = i
-    jy, jx = j
-
-    total = 0.0
-    for ly in range(max(iy - r, jy - r, 0), min(iy + r, jy + r, height - 1) + 1):
-        for lx in range(max(ix - r, jx - r, 0), min(ix + r, jx + r, width - 1) + 1):
-            win = guide[
-                max(ly - r, 0) : min(ly + r, height - 1) + 1,
-                max(lx - r, 0) : min(lx + r, width - 1) + 1,
-            ]
-            mean = win.mean()
-            var = win.var()
-            total += 1.0 + (guide[iy, ix] - mean) * (guide[jy, jx] - mean) / (
-                var + params.xi
-            )
-    return total / full**2
-
-
-def kernel_row_sum(guide, i, params):
-    """Normalizer N_i = sum_j L(i,j) (exactly 1 for interior pixels)."""
-    guide = validate_image(guide)
-    height, width = guide.shape
-    r = params.radius
-    iy, ix = i
-    total = 0.0
-    for jy in range(max(iy - 2 * r, 0), min(iy + 2 * r, height - 1) + 1):
-        for jx in range(max(ix - 2 * r, 0), min(ix + 2 * r, width - 1) + 1):
-            total += kernel_weight(guide, i, (jy, jx), params)
-    return total
 
 
 def guided_filter(guide, input, params):

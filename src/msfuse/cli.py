@@ -110,9 +110,7 @@ def cmd_reconstruct(args):
         for s in range(4):
             _write_image(extras.pyramid_left[s], join(f"base_left_{s}.pfm"), "pfm")
             _write_image(extras.pyramid_right[s], join(f"base_right_{s}.pfm"), "pfm")
-            _write_image(
-                extras.aggregated[s].data.min(axis=2), join(f"agg_min_{s}.pfm"), "pfm"
-            )
+            _write_image(extras.agg_min[s], join(f"agg_min_{s}.pfm"), "pfm")
         _write_image(valid.astype(np.float64), join("valid.pfm"), "pfm")
     return EXIT_OK
 

@@ -89,6 +89,15 @@ def _read_token(f):
         tok += ch
 
 
+def _read_number(f, kind):
+    """Read one header token and parse it with ``kind`` (int or float)."""
+    tok = _read_token(f)
+    try:
+        return kind(tok)
+    except ValueError:
+        raise FormatError(f"non-numeric header field {tok!r}")
+
+
 def load_image(path):
     """Load a grayscale PGM (P5, 8/16-bit) or PFM ('Pf') image.
 
@@ -107,9 +116,9 @@ def load_image(path):
 
 
 def _load_pgm_body(f):
-    width = int(_read_token(f))
-    height = int(_read_token(f))
-    maxval = int(_read_token(f))
+    width = _read_number(f, int)
+    height = _read_number(f, int)
+    maxval = _read_number(f, int)
     if width < 1 or height < 1:
         raise FormatError(f"bad PGM dimensions {width}x{height}")
     if maxval not in (255, 65535):
@@ -123,18 +132,20 @@ def _load_pgm_body(f):
 
 
 def _load_pfm_body(f):
-    width = int(_read_token(f))
-    height = int(_read_token(f))
-    scale = float(_read_token(f))
+    width = _read_number(f, int)
+    height = _read_number(f, int)
+    scale = _read_number(f, float)
     if width < 1 or height < 1:
         raise FormatError(f"bad PFM dimensions {width}x{height}")
-    if scale == 0:
-        raise FormatError("PFM scale must be nonzero")
+    if scale == 0 or not np.isfinite(scale):
+        raise FormatError("PFM scale must be finite and nonzero")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
     raw = f.read(width * height * 4)
     if len(raw) != width * height * 4:
         raise FormatError("truncated PFM payload")
     data = np.frombuffer(raw, dtype=dtype).reshape(height, width)
+    if not np.isfinite(data).all():
+        raise FormatError("PFM contains non-finite samples")
     # PFM stores rows bottom-to-top.
     return validate_image(np.flipud(data))
 

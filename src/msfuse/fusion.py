@@ -7,7 +7,10 @@ solves (I + zeta*L) v = e, the minimizer of
     sum_s (v_s - e_s)^2 + zeta * sum_s (v_s - v_{s-1})^2.
 
 The 4x4 system matrix is constant across cells, so it is factorized once
-and the solve applied to all cells in one batch.
+and the solve applied to all cells in one batch. The pipeline reads only
+the finest fused volume, v_0 = sum_s w_s * e_s with w the first row of
+(I + zeta*L)^-1 (``finest_weights``); ``fuse_scales`` is the reference
+that computes all four.
 """
 
 from dataclasses import dataclass
@@ -41,6 +44,15 @@ def fusion_matrix(zeta):
         ]
     )
     return np.eye(4) + zeta * lap
+
+
+def finest_weights(params):
+    """First row of (I + zeta*L)^-1: the weights w with v_0 = sum_s w_s * e_s.
+
+    The matrix is a symmetric M-matrix with unit row sums, so w is
+    nonnegative and sums to 1; zeta = 0 gives exactly [1, 0, 0, 0].
+    """
+    return np.linalg.solve(fusion_matrix(params.zeta), np.eye(4)[0])
 
 
 def solve_fused(matrix_factor, stacked):

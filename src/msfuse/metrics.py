@@ -7,16 +7,6 @@ from scipy.stats import rankdata
 
 BINARIZE_THRESHOLD = 0.5
 
-# Published reference values for the brain-tumor segmentation comparison
-# (U-net / Res U-net / the multi-scale method). Documented constants only:
-# reproducing them requires the original dataset and trained network.
-REFERENCE_SCORES = {
-    "u-net": {"acc": 0.9645, "auc": 0.8142, "sen": 0.9879},
-    "res-u-net": {"acc": 0.9649, "auc": 0.8444, "sen": 0.9890},
-    "proposed": {"acc": 0.9669, "auc": 0.8477, "sen": 0.9893},
-}
-
-
 class UndefinedMetricError(ValueError):
     """Raised when a metric's denominator is empty (never silently 0)."""
 

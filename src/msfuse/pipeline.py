@@ -1,13 +1,17 @@
 """End-to-end orchestration of the multi-scale matching pipeline.
 
-Per view: 4-level WLS decomposition, per-scale fused matching cost and
-guided-filter aggregation, cross-scale fusion, then winner-take-all on
-the finest fused volume. The right-view disparity for the consistency
-check reuses the same code path on horizontally mirrored images.
+Each view is decomposed once into a 4-level WLS base-layer stack. A view
+pass computes, per scale, the fused matching cost and its guided-filter
+aggregation, and sums the scales into the finest fused volume
+sum_s w_s * agg_s (w = fusion.finest_weights), on which winner-take-all
+picks the disparity. The right-view disparity for the consistency check
+runs the same pass on the horizontally mirrored pyramids with the camera
+roles swapped: the WLS filter commutes with mirroring, so these equal the
+pyramids of the mirrored images up to solver roundoff.
 
-The four per-scale branches are pure and may run on a thread pool
-(MSFUSE_THREADS, 0 = auto); results are gathered by scale index, so the
-output is identical to the sequential schedule.
+The four per-scale branches are pure and run on a thread pool
+(MSFUSE_THREADS, 0 = auto); they are summed in scale order, so the output
+is identical for every thread count.
 """
 
 import os
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aggregate, cost, disparity, fusion, wls
-from .core import INVALID_DISPARITY
+from .core import INVALID_DISPARITY, CostVolume
 
 
 def thread_count():
@@ -40,74 +44,55 @@ class ScaleOutputs:
 
     pyramid_left: list
     pyramid_right: list
-    aggregated: list  # 4 CostVolumes
+    agg_min: list  # 4 left-view aggregated costs, minimum over disparity
 
 
-def fused_volume(left, right, wls_params, cost_params, gf_params, fusion_params,
-                 threads=None, collect=False):
-    """Fused finest-scale cost volume for the left view.
+def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
+    """Disparity of the reference view before any consistency filtering.
 
-    Returns (volume, ScaleOutputs | None).
+    Returns (disparity, per-scale aggregated-cost minima | None).
     """
-    pyr_l = wls.decompose(left, wls_params)
-    pyr_r = wls.decompose(right, wls_params)
+    cost_params = config.cost_params()
+    gf_params = config.guided_filter_params()
+    weights = fusion.finest_weights(config.fusion_params())
 
     def branch(s):
-        raw = cost.match_cost(pyr_l[s], pyr_r[s], cost_params)
-        return aggregate.aggregate_cost(pyr_l[s], raw, gf_params)
+        raw = cost.match_cost(pyr_ref[s], pyr_other[s], cost_params)
+        agg = aggregate.aggregate_cost(pyr_ref[s], raw, gf_params).data
+        return weights[s] * agg, agg.min(axis=2) if collect else None
 
-    n = threads if threads is not None else thread_count()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            aggregated = list(pool.map(branch, range(4)))
-    else:
-        aggregated = [branch(s) for s in range(4)]
-
-    fused = fusion.fuse_scales(aggregated, fusion_params)[0]
-    extras = ScaleOutputs(pyr_l, pyr_r, aggregated) if collect else None
-    return fused, extras
-
-
-def left_disparity(left, right, wls_params, cost_params, gf_params,
-                   fusion_params, disp_params, threads=None, collect=False):
-    """Disparity of the left view before any consistency filtering."""
-    volume, extras = fused_volume(
-        left, right, wls_params, cost_params, gf_params, fusion_params,
-        threads=threads, collect=collect,
-    )
+    weighted, agg_min = zip(*pool.map(branch, range(4)))
+    volume = CostVolume(d_min=cost_params.d_min, d_max=cost_params.d_max,
+                        data=sum(weighted))
     d = disparity.wta(volume)
-    if disp_params.subpixel:
+    if config.disparity_params().subpixel:
         d = disparity.subpixel_refine(volume, d)
-    return d, extras
+    return d, list(agg_min) if collect else None
 
 
 def run(left, right, config, threads=None, collect=False):
     """Full pipeline: left disparity, mirrored right disparity, left-right
-    consistency and invalid fill.
+    consistency and invalid fill. ``threads`` sizes the branch pool
+    (None = MSFUSE_THREADS; below 1 runs the branches serially).
 
     Returns (disparity_map, validity_mask, ScaleOutputs | None).
     """
-    wls_params = config.wls_params()
-    cost_params = config.cost_params()
-    gf_params = config.guided_filter_params()
-    fusion_params = config.fusion_params()
     disp_params = config.disparity_params()
+    pyr_l = wls.decompose(left, config.wls_params())
+    pyr_r = wls.decompose(right, config.wls_params())
+    mirrored = lambda pyr: [np.fliplr(x) for x in pyr]
 
-    d_left, extras = left_disparity(
-        left, right, wls_params, cost_params, gf_params, fusion_params,
-        disp_params, threads=threads, collect=collect,
-    )
-
-    # Right-view disparity by mirroring: running the left pipeline on the
-    # flipped pair is equivalent to swapping the camera roles.
-    d_right_flipped, _ = left_disparity(
-        np.fliplr(right), np.fliplr(left), wls_params, cost_params, gf_params,
-        fusion_params, disp_params, threads=threads,
-    )
-    d_right = np.fliplr(d_right_flipped)
+    n = thread_count() if threads is None else threads
+    with ThreadPoolExecutor(max_workers=max(n, 1)) as pool:
+        d_left, agg_min = view_disparity(pool, pyr_l, pyr_r, config, collect)
+        d_right_mirrored, _ = view_disparity(
+            pool, mirrored(pyr_r), mirrored(pyr_l), config
+        )
+    d_right = np.fliplr(d_right_mirrored)
 
     d = disparity.lr_consistency(d_left, d_right, disp_params.lr_threshold)
     valid = d != INVALID_DISPARITY
     if disp_params.fill_invalid:
         d = disparity.fill_invalid(d)
+    extras = ScaleOutputs(pyr_l, pyr_r, agg_min) if collect else None
     return d, valid, extras

@@ -77,16 +77,6 @@ def triangulate(d, rig, intensity=None):
     )
 
 
-def project_disparity(cloud, rig, shape):
-    """Inverse of triangulate: disparity map from a point cloud (pixels
-    without a point stay invalid). Used for round-trip checks."""
-    d = np.full(shape, INVALID_DISPARITY)
-    if len(cloud):
-        xs, ys = cloud.pixels[:, 0], cloud.pixels[:, 1]
-        d[ys, xs] = rig.focal_px * rig.baseline_m / cloud.points[:, 2]
-    return d
-
-
 def _fmt(v):
     # shortest decimal string that round-trips the float32 value
     return np.format_float_positional(np.float32(v), unique=True, trim="-")

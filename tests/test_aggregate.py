@@ -6,8 +6,6 @@ from msfuse.aggregate import (
     aggregate_cost,
     box_mean,
     guided_filter,
-    kernel_row_sum,
-    kernel_weight,
 )
 from msfuse.core import CostVolume
 
@@ -23,6 +21,46 @@ def box_mean_oracle(img, radius):
             ]
             out[y, x] = win.mean()
     return out
+
+
+def kernel_weight(guide, i, j, params):
+    """Explicit guided-filter kernel L(i,j); the slow oracle form.
+
+    i and j are (row, col) pairs. Sums over every window center l whose
+    clipped window contains both pixels; window statistics use the actual
+    (clipped) pixels, the 1/|lam|^2 prefactor uses the full window size.
+    """
+    height, width = guide.shape
+    r = params.radius
+    full = (2 * r + 1) ** 2
+    iy, ix = i
+    jy, jx = j
+
+    total = 0.0
+    for ly in range(max(iy - r, jy - r, 0), min(iy + r, jy + r, height - 1) + 1):
+        for lx in range(max(ix - r, jx - r, 0), min(ix + r, jx + r, width - 1) + 1):
+            win = guide[
+                max(ly - r, 0) : min(ly + r, height - 1) + 1,
+                max(lx - r, 0) : min(lx + r, width - 1) + 1,
+            ]
+            mean = win.mean()
+            var = win.var()
+            total += 1.0 + (guide[iy, ix] - mean) * (guide[jy, jx] - mean) / (
+                var + params.xi
+            )
+    return total / full**2
+
+
+def kernel_row_sum(guide, i, params):
+    """Normalizer N_i = sum_j L(i,j) (exactly 1 for interior pixels)."""
+    height, width = guide.shape
+    r = params.radius
+    iy, ix = i
+    total = 0.0
+    for jy in range(max(iy - 2 * r, 0), min(iy + 2 * r, height - 1) + 1):
+        for jx in range(max(ix - 2 * r, 0), min(ix + 2 * r, width - 1) + 1):
+            total += kernel_weight(guide, i, (jy, jx), params)
+    return total
 
 
 def kernel_filter_oracle(guide, p, params):

@@ -81,6 +81,22 @@ class TestDecompose:
     def test_missing_input_exit_2(self, tmp_path):
         assert run(["decompose", tmp_path / "nope.pfm"]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"P5\nabc\n",
+            b"Pf\n2 1\n-1.0\n" + np.array([0.5, np.nan], dtype="<f4").tobytes(),
+            b"Pf\n2 1\nnan\n" + np.array([0.5, 0.25], dtype=">f4").tobytes(),
+        ],
+        ids=["pgm-non-numeric-header", "pfm-nan-sample", "pfm-nan-scale"],
+    )
+    def test_bad_image_exit_2_names_file(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.img"
+        path.write_bytes(content)
+        assert run(["decompose", path, "--out-prefix", tmp_path / "o_"]) == 2
+        assert f"bad image {path}:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o_*"))
+
 
 class TestEvalMask:
     def _write_mask(self, path, arr):

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msfuse.core import CostVolume
-from msfuse.fusion import FusionParams, fuse_scales, fusion_matrix, solve_fused
+from msfuse.fusion import (
+    FusionParams,
+    finest_weights,
+    fuse_scales,
+    fusion_matrix,
+    solve_fused,
+)
 
 
 def make_volumes(rng, shape=(4, 4), n_disp=3):
@@ -41,6 +50,29 @@ class TestFusionMatrix:
     def test_negative_zeta_rejected(self):
         with pytest.raises(ValueError):
             fusion_matrix(-0.1)
+
+
+class TestFinestWeights:
+    @given(zeta=st.floats(0, 1e3))
+    def test_nonnegative_and_sums_to_one(self, zeta):
+        w = finest_weights(FusionParams(zeta=zeta))
+        assert (w >= 0).all()
+        assert abs(w.sum() - 1.0) <= 1e-12
+
+    def test_zeta_zero_selects_finest(self):
+        np.testing.assert_array_equal(finest_weights(FusionParams(zeta=0.0)), [1, 0, 0, 0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        zeta=st.floats(0, 1e3),
+        data=arrays(np.float64, (4, 3, 4, 5), elements=st.floats(0, 1)),
+    )
+    def test_weighted_sum_matches_fuse_scales(self, zeta, data):
+        # the pipeline computes only the finest fused volume, as this sum
+        params = FusionParams(zeta=zeta)
+        vols = [CostVolume(d_min=0, d_max=4, data=d) for d in data]
+        weighted = sum(w * v.data for w, v in zip(finest_weights(params), vols))
+        assert np.abs(weighted - fuse_scales(vols, params)[0].data).max() <= 1e-12
 
 
 class TestFuseScales:

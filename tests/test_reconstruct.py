@@ -6,9 +6,18 @@ from msfuse.reconstruct import (
     CameraRig,
     PointCloud,
     export_ply,
-    project_disparity,
     triangulate,
 )
+
+
+def project_disparity(cloud, rig, shape):
+    """Inverse of triangulate: disparity map from a point cloud (pixels
+    without a point stay invalid). Used for round-trip checks."""
+    d = np.full(shape, INVALID_DISPARITY)
+    if len(cloud):
+        xs, ys = cloud.pixels[:, 0], cloud.pixels[:, 1]
+        d[ys, xs] = rig.focal_px * rig.baseline_m / cloud.points[:, 2]
+    return d
 
 
 def parse_ply(path):

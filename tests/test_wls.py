@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msfuse.core import gradient
 from msfuse.wls import (
@@ -156,6 +159,20 @@ class TestDecompose:
         for s in range(4):
             np.testing.assert_allclose(layers[s], expected, atol=1e-5)
             expected = dense_solve(expected, params)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        img=st.tuples(st.integers(2, 32), st.integers(2, 32)).flatmap(
+            lambda s: arrays(np.float64, s, elements=st.floats(0, 1, width=32))
+        )
+    )
+    def test_mirror_equivariant(self, img):
+        # the pipeline mirrors the left/right pyramids for the right view
+        # instead of decomposing the mirrored images
+        params = WlsParams()
+        mirrored = decompose(np.fliplr(img), params)
+        for base, flipped in zip(decompose(img, params), mirrored):
+            assert np.abs(np.fliplr(flipped) - base).max() <= 1e-6
 
     def test_tv_monotone(self):
         rng = np.random.default_rng(8)
