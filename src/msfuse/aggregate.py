@@ -65,30 +65,34 @@ def box_mean(img, radius):
     return _box_sum(img, radius) / window_counts(img.shape, radius)
 
 
+def _guide_stats(guide, params):
+    """Input-independent terms of the filter: window counts, the guide's
+    window mean and its regularized window variance var_w + xi."""
+    r = params.radius
+    counts = window_counts(guide.shape, r)
+    mean_w = _box_sum(guide, r) / counts
+    var_w = _box_sum(guide * guide, r) / counts - mean_w * mean_w
+    return counts, mean_w, var_w + params.xi
+
+
+def _filter(guide, p, stats, radius):
+    """Per-window linear fit a_l*W + b_l of p, coefficients averaged over
+    the windows covering each pixel."""
+    counts, mean_w, var_w_xi = stats
+    mean_p = _box_sum(p, radius) / counts
+    cov_wp = _box_sum(guide * p, radius) / counts - mean_w * mean_p
+    a = cov_wp / var_w_xi
+    b = mean_p - a * mean_w
+    return _box_sum(a, radius) / counts * guide + _box_sum(b, radius) / counts
+
+
 def guided_filter(guide, input, params):
-    """Fast guided filter: per-window linear fit a_l*W + b_l, coefficients
-    averaged over the windows covering each pixel."""
+    """Fast guided filter of one image."""
     guide = validate_image(guide)
     p = validate_image(input)
     if guide.shape != p.shape:
         raise ValueError(f"shapes differ: {guide.shape} vs {p.shape}")
-    r = params.radius
-
-    counts = window_counts(guide.shape, r)
-    mean_w = _box_sum(guide, r) / counts
-    mean_p = _box_sum(p, r) / counts
-    mean_wp = _box_sum(guide * p, r) / counts
-    mean_ww = _box_sum(guide * guide, r) / counts
-
-    cov_wp = mean_wp - mean_w * mean_p
-    var_w = mean_ww - mean_w * mean_w
-
-    a = cov_wp / (var_w + params.xi)
-    b = mean_p - a * mean_w
-
-    mean_a = _box_sum(a, r) / counts
-    mean_b = _box_sum(b, r) / counts
-    return mean_a * guide + mean_b
+    return _filter(guide, p, _guide_stats(guide, params), params.radius)
 
 
 def aggregate_cost(guide, volume, params):
@@ -100,8 +104,9 @@ def aggregate_cost(guide, volume, params):
             f"guide shape {guide.shape} does not match volume "
             f"({volume.height}, {volume.width})"
         )
+    stats = _guide_stats(guide, params)
     out = np.empty_like(volume.data)
     for k in range(volume.n_disparities):
-        out[:, :, k] = guided_filter(guide, volume.data[:, :, k], params)
+        out[:, :, k] = _filter(guide, volume.data[:, :, k], stats, params.radius)
     np.maximum(out, 0.0, out=out)
     return CostVolume(d_min=volume.d_min, d_max=volume.d_max, data=out)

@@ -47,16 +47,20 @@ def _load(path):
         raise CliError(EXIT_IO, f"bad image {path}: {exc}")
 
 
-def _write_image(img, path, format):
+def _write_atomic(path, write):
     # write via a temp name so error paths leave no partial outputs
     tmp = path + ".tmp"
     try:
-        save_image(img, tmp, format=format)
+        write(tmp)
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}")
+
+
+def _write_image(img, path, format):
+    _write_atomic(path, lambda tmp: save_image(img, tmp, format=format))
 
 
 def cmd_decompose(args):
@@ -92,14 +96,7 @@ def cmd_reconstruct(args):
 
     _write_image(d, args.out_disparity, "pfm")
     cloud = triangulate(d, rig, intensity=left)
-    tmp = args.out_cloud + ".tmp"
-    try:
-        export_ply(cloud, tmp)
-        os.replace(tmp, args.out_cloud)
-    except OSError as exc:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise CliError(EXIT_IO, f"cannot write {args.out_cloud}: {exc}")
+    _write_atomic(args.out_cloud, lambda tmp: export_ply(cloud, tmp))
 
     if collect:
         try:

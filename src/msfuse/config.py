@@ -1,9 +1,12 @@
 """Flat `key = value` pipeline configuration.
 
-Every tunable has a documented default; unknown keys are fatal (fail-fast
-against typos). The canonical text form lists every key in a fixed order,
-so parse -> print -> parse is a fixed point.
+Every stage tunable takes its name, type and default from the stage's
+parameter dataclass; unknown keys are fatal (fail-fast against typos). The
+canonical text form lists every key in a fixed order, so parse -> print ->
+parse is a fixed point.
 """
+
+from dataclasses import fields
 
 from .aggregate import GuidedFilterParams
 from .cost import CostParams
@@ -25,32 +28,28 @@ def _parse_bool(text):
     raise ConfigError(f"not a boolean: {text!r}")
 
 
+# config-key prefix -> parameter dataclass; the dataclass defaults are the
+# config defaults, and its field order is the canonical key order
+_PARAMS = {
+    "wls": WlsParams,
+    "cost": CostParams,
+    "gf": GuidedFilterParams,
+    "fusion": FusionParams,
+    "disp": DisparityParams,
+}
+
 # key -> (type, default); rig.cx / rig.cy < 0 mean "image center"
 _SCHEMA = {
-    "wls.eta": (float, 1.0),
-    "wls.alpha": (float, 1.2),
-    "wls.eps_w": (float, 1e-4),
-    "wls.solver_tol": (float, 1e-8),
-    "wls.max_iter": (int, 10000),
-    "cost.d_min": (int, 0),
-    "cost.d_max": (int, 16),
-    "cost.w_ad": (float, 0.3),
-    "cost.w_grad": (float, 0.3),
-    "cost.w_cen": (float, 0.4),
-    "cost.tau_ad": (float, 0.12),
-    "cost.tau_grad": (float, 0.08),
-    "cost.census_radius": (int, 2),
-    "gf.radius": (int, 4),
-    "gf.xi": (float, 1e-4),
-    "fusion.zeta": (float, 0.3),
-    "disp.lr_threshold": (float, 1.0),
-    "disp.subpixel": (bool, True),
-    "disp.fill_invalid": (bool, True),
+    f"{prefix}.{f.name}": (type(f.default), f.default)
+    for prefix, cls in _PARAMS.items()
+    for f in fields(cls)
+}
+_SCHEMA.update({
     "rig.focal_px": (float, 525.0),
     "rig.baseline_m": (float, 0.1),
     "rig.cx": (float, -1.0),
     "rig.cy": (float, -1.0),
-}
+})
 
 
 class PipelineConfig:
@@ -111,39 +110,24 @@ class PipelineConfig:
 
     # typed parameter bundles for the pipeline modules
 
+    def _params(self, prefix):
+        cls = _PARAMS[prefix]
+        return cls(**{f.name: self[f"{prefix}.{f.name}"] for f in fields(cls)})
+
     def wls_params(self):
-        return WlsParams(
-            eta=self["wls.eta"],
-            alpha=self["wls.alpha"],
-            eps_w=self["wls.eps_w"],
-            solver_tol=self["wls.solver_tol"],
-            max_iter=self["wls.max_iter"],
-        )
+        return self._params("wls")
 
     def cost_params(self):
-        return CostParams(
-            d_min=self["cost.d_min"],
-            d_max=self["cost.d_max"],
-            w_ad=self["cost.w_ad"],
-            w_grad=self["cost.w_grad"],
-            w_cen=self["cost.w_cen"],
-            tau_ad=self["cost.tau_ad"],
-            tau_grad=self["cost.tau_grad"],
-            census_radius=self["cost.census_radius"],
-        )
+        return self._params("cost")
 
     def guided_filter_params(self):
-        return GuidedFilterParams(radius=self["gf.radius"], xi=self["gf.xi"])
+        return self._params("gf")
 
     def fusion_params(self):
-        return FusionParams(zeta=self["fusion.zeta"])
+        return self._params("fusion")
 
     def disparity_params(self):
-        return DisparityParams(
-            lr_threshold=self["disp.lr_threshold"],
-            subpixel=self["disp.subpixel"],
-            fill_invalid=self["disp.fill_invalid"],
-        )
+        return self._params("disp")
 
     def camera_rig(self, image_shape):
         """CameraRig for a given image; negative cx/cy mean image center."""

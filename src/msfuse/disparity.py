@@ -85,20 +85,18 @@ def fill_invalid(d):
     """Fill invalid pixels with min(nearest valid left, nearest valid right)
     along the row; fully invalid rows stay invalid."""
     d = np.asarray(d, dtype=np.float64)
-    out = d.copy()
     width = d.shape[1]
-    for y in range(d.shape[0]):
-        row = d[y]
-        valid = row != INVALID_DISPARITY
-        if not valid.any() or valid.all():
-            continue
-        # nearest valid index to the left/right of every position
-        left_idx = np.maximum.accumulate(np.where(valid, np.arange(width), -1))
-        right_pos = np.where(valid, np.arange(width), width)
-        right_idx = np.minimum.accumulate(right_pos[::-1])[::-1]
+    valid = d != INVALID_DISPARITY
+    cols = np.arange(width)
+    # nearest valid column to the left/right of every position, per row
+    left_idx = np.maximum.accumulate(np.where(valid, cols, -1), axis=1)
+    right_idx = np.minimum.accumulate(np.where(valid, cols, width)[:, ::-1], axis=1)[:, ::-1]
 
-        left_val = np.where(left_idx >= 0, row[np.clip(left_idx, 0, width - 1)], np.inf)
-        right_val = np.where(right_idx < width, row[np.clip(right_idx, 0, width - 1)], np.inf)
-        fill = np.minimum(left_val, right_val)
-        out[y] = np.where(valid, row, fill)
-    return out
+    left_val = np.take_along_axis(d, np.maximum(left_idx, 0), axis=1)
+    right_val = np.take_along_axis(d, np.minimum(right_idx, width - 1), axis=1)
+    fill = np.minimum(
+        np.where(left_idx >= 0, left_val, np.inf),
+        np.where(right_idx < width, right_val, np.inf),
+    )
+    keep = valid | ~valid.any(axis=1, keepdims=True)
+    return np.where(keep, d, fill)

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 BINARIZE_THRESHOLD = 0.5
 
@@ -70,6 +69,9 @@ def auc(scores, truth):
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC undefined for single-class truth")
-    ranks = rankdata(scores)  # average ranks handle ties as 1/2 wins
+    # average ranks: a tie group of n scores ending at rank hi gets
+    # hi - (n - 1)/2 each, so ties count as 1/2 wins
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     pos_rank_sum = ranks[labels].sum()
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)

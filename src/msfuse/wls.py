@@ -39,7 +39,6 @@ class WlsParams:
     eps_w: float = 1e-4
     solver_tol: float = 1e-8
     max_iter: int = 10000
-    levels: int = 4
 
     def __post_init__(self):
         if self.eta < 0:
@@ -48,8 +47,6 @@ class WlsParams:
             raise ValueError("eps_w must be > 0")
         if self.solver_tol <= 0:
             raise ValueError("solver_tol must be > 0")
-        if self.levels != 4:
-            raise ValueError("pyramid depth is fixed at 4 levels")
 
 
 def smoothness_weights(guide, params):
@@ -144,7 +141,7 @@ def decompose(r0, params):
     """Four-level base-layer stack [R0, R1, R2, R3] by repeated filtering."""
     r0 = validate_image(r0)
     layers = [r0]
-    for _ in range(params.levels - 1):
+    for _ in range(3):
         layers.append(wls_filter(layers[-1], params))
     return layers
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -233,6 +238,19 @@ class TestReconstruct:
             )
         assert outputs["1"] == outputs["8"]
 
+    @pytest.mark.parametrize("flag", ["--out-disparity", "--out-cloud"])
+    def test_unwritable_output_exit_2_no_tmp(self, tmp_path, capsys, flag):
+        left, right = self._gen_pair(tmp_path)
+        cfg = self._fast_config(tmp_path)
+        outputs = {"--out-disparity": tmp_path / "d.pfm", "--out-cloud": tmp_path / "c.ply"}
+        outputs[flag] = tmp_path / "missing" / outputs[flag].name
+        argv = ["reconstruct", left, right, "--config", cfg]
+        for name, path in outputs.items():
+            argv += [name, path]
+        assert run(argv) == 2
+        assert str(outputs[flag]) in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 class TestUsage:
     def test_no_command_exit_1(self):
@@ -240,3 +258,15 @@ class TestUsage:
 
     def test_unknown_command_exit_1(self):
         assert run(["frobnicate"]) == 1
+
+    def test_import_leaves_out_scipy_stats(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, msfuse.cli; print('scipy.stats' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"

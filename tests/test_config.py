@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from msfuse.config import ConfigError, PipelineConfig
@@ -47,6 +50,14 @@ class TestParsing:
         assert "rig.focal_px" in text
         assert "gf.xi" in text
         assert text.count("=") == len(PipelineConfig().values)
+
+    def test_readme_block_is_canonical(self):
+        # the keys come from the parameter dataclasses: renaming or
+        # reordering a field changes the file format and must show here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```\n(wls\..*?)```", readme, re.DOTALL).group(1)
+        lines = [line.split("#", 1)[0].rstrip() for line in block.splitlines()]
+        assert lines == PipelineConfig().canonical().splitlines()
 
 
 class TestBundles:

@@ -131,6 +131,23 @@ class TestFillInvalid:
         once = fill_invalid(d)
         np.testing.assert_array_equal(fill_invalid(once), once)
 
+    def test_matches_row_scan_oracle(self):
+        rng = np.random.default_rng(64)
+        for _ in range(50):
+            height, width = rng.integers(1, 8, size=2)
+            d = rng.random((height, width)) * 8
+            d[rng.random((height, width)) < rng.random()] = self.inv
+            expected = d.copy()
+            for y in range(height):
+                for x in range(width):
+                    if d[y, x] != self.inv:
+                        continue
+                    left = [v for v in d[y, :x] if v != self.inv][-1:]
+                    right = [v for v in d[y, x + 1 :] if v != self.inv][:1]
+                    if left or right:
+                        expected[y, x] = min(left + right)
+            np.testing.assert_array_equal(fill_invalid(d), expected)
+
 
 class TestShiftedPipeline:
     @pytest.mark.parametrize("k", [2, 7])

@@ -183,10 +183,6 @@ class TestDecompose:
 
 
 class TestParams:
-    def test_levels_fixed(self):
-        with pytest.raises(ValueError):
-            WlsParams(levels=3)
-
     def test_negative_eta(self):
         with pytest.raises(ValueError):
             WlsParams(eta=-1.0)
