@@ -11,6 +11,11 @@ two-pass box-filter algorithm (per-window linear fit, then averaging of
 the coefficients), which coincides with the explicit kernel sum at
 pixels whose every covering window lies fully inside the image; the
 explicit form is the oracle in tests/test_aggregate.py.
+
+Box sums take the four window corners of every pixel as plain slices of
+one array: the integral image (leading zero row and column) edge-padded
+by the radius r, whose row i is integral row clip(i - r, 0, H), columns
+alike, so windows clip to the image bounds with no index arithmetic.
 """
 
 from dataclasses import dataclass
@@ -33,25 +38,18 @@ class GuidedFilterParams:
 
 
 def _box_sum(img, radius):
-    """Windowed sum over the window clipped to image bounds, via an
-    integral image (O(1) per pixel)."""
+    """Windowed sum over the window clipped to image bounds: four slices of
+    the edge-padded integral image (O(1) per pixel; see the module doc)."""
     height, width = img.shape
     integral = np.zeros((height + 1, width + 1))
     np.cumsum(img, axis=0, out=integral[1:, 1:])
     np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
 
-    y = np.arange(height)
-    x = np.arange(width)
-    y0 = np.maximum(y - radius, 0)
-    y1 = np.minimum(y + radius, height - 1) + 1
-    x0 = np.maximum(x - radius, 0)
-    x1 = np.minimum(x + radius, width - 1) + 1
-    return (
-        integral[np.ix_(y1, x1)]
-        - integral[np.ix_(y0, x1)]
-        - integral[np.ix_(y1, x0)]
-        + integral[np.ix_(y0, x0)]
-    )
+    padded = np.pad(integral, radius, mode="edge")
+    y0, x0 = slice(0, height), slice(0, width)
+    y1 = slice(2 * radius + 1, 2 * radius + 1 + height)
+    x1 = slice(2 * radius + 1, 2 * radius + 1 + width)
+    return padded[y1, x1] - padded[y0, x1] - padded[y1, x0] + padded[y0, x0]
 
 
 def window_counts(shape, radius):

@@ -67,9 +67,6 @@ class CostVolume:
     def n_disparities(self):
         return self.d_max - self.d_min + 1
 
-    def disparities(self):
-        return np.arange(self.d_min, self.d_max + 1)
-
 
 def _read_token(f):
     """Read one whitespace-delimited header token, skipping '#' comments."""

@@ -42,7 +42,8 @@ def census_transform(img, radius):
     """Census codes: bit k set iff the k-th neighbor (row-major order,
     center skipped) is strictly less than the center pixel.
 
-    Out-of-bounds neighbors take the center value, so their bit is 0.
+    Out-of-bounds neighbors are NaN padding, which compares False, so their
+    bit is 0 as if they took the center value.
     Codes fit in uint64 for radius <= 3.
     """
     img = validate_image(img)
@@ -53,19 +54,14 @@ def census_transform(img, radius):
         raise ValueError(f"census window too large ({n_bits} bits > 64)")
 
     height, width = img.shape
+    padded = np.pad(img, radius, constant_values=np.nan)
     codes = np.zeros((height, width), dtype=np.uint64)
     bit = 0
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dy == 0 and dx == 0:
+    for dy in range(2 * radius + 1):
+        for dx in range(2 * radius + 1):
+            if dy == radius and dx == radius:
                 continue
-            # neighbor defaults to the center value -> comparison is False
-            neighbor = img.copy()
-            ys = slice(max(0, -dy), min(height, height - dy))
-            xs = slice(max(0, -dx), min(width, width - dx))
-            ys_src = slice(max(0, dy), min(height, height + dy))
-            xs_src = slice(max(0, dx), min(width, width + dx))
-            neighbor[ys, xs] = img[ys_src, xs_src]
+            neighbor = padded[dy : dy + height, dx : dx + width]
             codes |= (neighbor < img).astype(np.uint64) << np.uint64(bit)
             bit += 1
     return codes

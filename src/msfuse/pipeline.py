@@ -59,7 +59,9 @@ def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
     def branch(s):
         raw = cost.match_cost(pyr_ref[s], pyr_other[s], cost_params)
         agg = aggregate.aggregate_cost(pyr_ref[s], raw, gf_params).data
-        return weights[s] * agg, agg.min(axis=2) if collect else None
+        agg_min = agg.min(axis=2) if collect else None
+        agg *= weights[s]  # in place: one volume fewer per running branch
+        return agg, agg_min
 
     weighted, agg_min = zip(*pool.map(branch, range(4)))
     volume = CostVolume(d_min=cost_params.d_min, d_max=cost_params.d_max,
@@ -70,10 +72,10 @@ def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
     return d, list(agg_min) if collect else None
 
 
-def run(left, right, config, threads=None, collect=False):
+def run(left, right, config, collect=False):
     """Full pipeline: left disparity, mirrored right disparity, left-right
-    consistency and invalid fill. ``threads`` sizes the branch pool
-    (None = MSFUSE_THREADS; below 1 runs the branches serially).
+    consistency and invalid fill. MSFUSE_THREADS sizes the branch pool
+    (see thread_count).
 
     Returns (disparity_map, validity_mask, ScaleOutputs | None).
     """
@@ -82,8 +84,7 @@ def run(left, right, config, threads=None, collect=False):
     pyr_r = wls.decompose(right, config.wls_params())
     mirrored = lambda pyr: [np.fliplr(x) for x in pyr]
 
-    n = thread_count() if threads is None else threads
-    with ThreadPoolExecutor(max_workers=max(n, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
         d_left, agg_min = view_disparity(pool, pyr_l, pyr_r, config, collect)
         d_right_mirrored, _ = view_disparity(
             pool, mirrored(pyr_r), mirrored(pyr_l), config

@@ -20,7 +20,8 @@ from .core import gradient, validate_image
 
 
 class SolverError(RuntimeError):
-    """Iterative solve missed the residual tolerance within max_iter."""
+    """Iterative solve missed the residual tolerance; ``iterations`` is the
+    number of CG iterations run (at most max_iter)."""
 
     def __init__(self, residual, tol, iterations):
         self.residual = residual
@@ -64,40 +65,33 @@ def smoothness_weights(guide, params):
 def build_laplacian(guide, params):
     """Assemble the weighted 5-point Laplacian A = Dx'*Lx*Dx + Dy'*Ly*Dy.
 
-    Dx/Dy are the forward-difference operators used by ``gradient`` (zero
-    rows at the trailing border), so A annihilates constant images.
+    Dx/Dy are the forward differences of ``gradient`` (zero at the trailing
+    border), so A is five diagonals: each edge q -> q+1 (q -> q+width) of
+    weight lam_x(q) (lam_y(q)) puts -lam off the diagonal and +lam on the
+    diagonal of both ends. Every row sums to 0: A annihilates constants.
     """
     guide = validate_image(guide)
     height, width = guide.shape
     n = height * width
     lam_x, lam_y = smoothness_weights(guide, params)
 
-    # Forward difference along x: one row per pixel q not in the last column,
-    # mapping sigma -> sigma[q+1] - sigma[q] (the trailing gradient is 0 and
-    # contributes nothing to the energy).
-    idx = np.arange(n).reshape(height, width)
-    src_x = idx[:, :-1].ravel()
-    rows = np.arange(src_x.size)
-    dx = sp.coo_matrix(
-        (
-            np.concatenate([-np.ones(src_x.size), np.ones(src_x.size)]),
-            (np.concatenate([rows, rows]), np.concatenate([src_x, src_x + 1])),
-        ),
-        shape=(src_x.size, n),
-    ).tocsr()
-    src_y = idx[:-1, :].ravel()
-    rows = np.arange(src_y.size)
-    dy = sp.coo_matrix(
-        (
-            np.concatenate([-np.ones(src_y.size), np.ones(src_y.size)]),
-            (np.concatenate([rows, rows]), np.concatenate([src_y, src_y + width])),
-        ),
-        shape=(src_y.size, n),
-    ).tocsr()
+    # Flat weight of the edge from each pixel to its right / lower neighbour
+    # (none from the last column / row), padded in front so that the edge
+    # from the left / upper neighbour is the same array shifted by one step.
+    lam_x[:, -1] = 0.0
+    lam_y[-1] = 0.0
+    right = np.concatenate(([0.0], lam_x.ravel()))
+    down = np.concatenate((np.zeros(width), lam_y.ravel()))
+    diagonal = (right[:-1] + right[1:]) + (down[:-width] + down[width:])
 
-    wx = sp.diags(lam_x[:, :-1].ravel())
-    wy = sp.diags(lam_y[:-1, :].ravel())
-    return (dx.T @ wx @ dx + dy.T @ wy @ dy).tocsr()
+    offsets, bands = [0], [diagonal]
+    if width > 1:
+        offsets += [1, -1]
+        bands += [-right[1:-1]] * 2
+    if height > 1:
+        offsets += [width, -width]
+        bands += [-down[width:-width]] * 2
+    return sp.diags(bands, offsets, shape=(n, n), format="csr")
 
 
 def wls_filter(h, params):
@@ -122,6 +116,12 @@ def wls_filter(h, params):
 
     inv_diag = 1.0 / system.diagonal()
     precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
     x, _ = cg(
         system,
         b,
@@ -130,10 +130,11 @@ def wls_filter(h, params):
         atol=0.0,
         maxiter=params.max_iter,
         M=precond,
+        callback=count,
     )
     residual = np.linalg.norm(system @ x - b) / b_norm
     if residual > params.solver_tol:
-        raise SolverError(residual, params.solver_tol, params.max_iter)
+        raise SolverError(residual, params.solver_tol, iterations)
     return x.reshape(height, width)
 
 

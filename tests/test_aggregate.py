@@ -98,9 +98,12 @@ class TestBoxMean:
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(30)
-        img = rng.random((7, 7))
-        for radius in (1, 2, 3):
-            assert np.abs(box_mean(img, radius) - box_mean_oracle(img, radius)).max() <= 1e-12
+        for shape in [(7, 7), (5, 9), (9, 4), (1, 1), (1, 6), (6, 1)]:
+            img = rng.random(shape)
+            # radii up to and beyond the image side
+            for radius in (1, 2, 3, max(shape), max(shape) + 2):
+                got = box_mean(img, radius)
+                assert np.abs(got - box_mean_oracle(img, radius)).max() <= 1e-12
 
 
 class TestKernelWeight:

@@ -67,11 +67,13 @@ class TestCensus:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(17)
-        img = rng.random((6, 6))
-        for radius in (1, 2):
-            np.testing.assert_array_equal(
-                census_transform(img, radius), census_oracle(img, radius)
-            )
+        for shape in [(6, 6), (5, 9), (9, 4), (2, 7), (1, 1), (1, 6), (6, 1)]:
+            # continuous values, and 4-level values with many ties
+            for img in (rng.random(shape), np.floor(rng.random(shape) * 4) / 4):
+                for radius in (1, 2, 3):
+                    np.testing.assert_array_equal(
+                        census_transform(img, radius), census_oracle(img, radius)
+                    )
 
     def test_monotone_invariance(self):
         rng = np.random.default_rng(18)

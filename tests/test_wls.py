@@ -135,6 +135,39 @@ class TestWlsFilter:
             wls_filter(h, WlsParams(eta=100.0, solver_tol=1e-14, max_iter=2))
         assert err.value.residual > 1e-14
 
+    def test_error_reports_iterations_run(self):
+        # CG's recursively updated residual meets the tolerance after ~200
+        # iterations while the true residual does not; the error reports
+        # the iterations actually run, not max_iter
+        h = np.random.default_rng(2).random((16, 16))
+        params = WlsParams(solver_tol=1e-15)
+        with pytest.raises(SolverError) as err:
+            wls_filter(h, params)
+        assert 0 < err.value.iterations < params.max_iter
+        assert f"after {err.value.iterations} iterations" in str(err.value)
+
+
+class TestBuildLaplacian:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 12)])
+    def test_encodes_smoothness_energy(self, shape):
+        """x'Ax is the weighted squared forward differences of x, checked
+        against ``gradient`` rather than another assembly of A."""
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        params = WlsParams()
+        guide = rng.random(shape)
+        a = build_laplacian(guide, params)
+        lam_x, lam_y = smoothness_weights(guide, params)
+        for _ in range(5):
+            x = rng.standard_normal(shape)
+            expected = np.sum(
+                lam_x * gradient(x, "x") ** 2 + lam_y * gradient(x, "y") ** 2
+            )
+            quad = x.ravel() @ (a @ x.ravel())
+            assert abs(quad - expected) <= 1e-12 * max(expected, 1.0)
+        ones = a @ np.ones(guide.size)
+        assert np.abs(ones).max() <= 1e-12 * max(np.abs(a.diagonal()).max(), 1.0)
+        assert abs(a - a.T).max() == 0.0
+
 
 class TestDecompose:
     def test_constant_four_identical(self):
