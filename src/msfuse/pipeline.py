@@ -64,8 +64,11 @@ def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
         return agg, agg_min
 
     weighted, agg_min = zip(*pool.map(branch, range(4)))
+    total = weighted[0]
+    for agg in weighted[1:]:
+        total += agg  # in place, in scale order: as sum() but no temporaries
     volume = CostVolume(d_min=cost_params.d_min, d_max=cost_params.d_max,
-                        data=sum(weighted))
+                        data=total)
     d = disparity.wta(volume)
     if config.disparity_params().subpixel:
         d = disparity.subpixel_refine(volume, d)

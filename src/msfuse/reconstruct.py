@@ -12,6 +12,8 @@ from .core import INVALID_DISPARITY
 
 # Disparities at or below this are treated as "at infinity" and skipped.
 MIN_DISPARITY = 1e-6
+# Points formatted and written per block by export_ply.
+PLY_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -82,21 +84,27 @@ def _fmt(v):
     return np.format_float_positional(np.float32(v), unique=True, trim="-")
 
 
+def _fmt_column(values):
+    """``_fmt`` of every value. numpy's str of a float32 has the same
+    shortest round-trip digits: positional with a trailing ".0" on whole
+    numbers, or scientific for tiny and huge values, which go to ``_fmt``."""
+    values = np.asarray(values, dtype=np.float32)
+    return [_fmt(v) if "e" in text else text.removesuffix(".0")
+            for v, text in zip(values.tolist(), values.astype(str).tolist())]
+
+
 def export_ply(cloud, path):
     """ASCII PLY 1.0 with float x/y/z (and intensity when present)."""
+    columns = list(cloud.points.T)
+    names = ["x", "y", "z"]
+    if cloud.intensity is not None:
+        columns.append(cloud.intensity)
+        names.append("intensity")
+    header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
+    header += [f"property float {name}" for name in names] + ["end_header"]
     with open(path, "w") as f:
-        f.write("ply\n")
-        f.write("format ascii 1.0\n")
-        f.write(f"element vertex {len(cloud)}\n")
-        f.write("property float x\n")
-        f.write("property float y\n")
-        f.write("property float z\n")
-        if cloud.intensity is not None:
-            f.write("property float intensity\n")
-        f.write("end_header\n")
-        for n in range(len(cloud)):
-            px, py, pz = cloud.points[n]
-            line = f"{_fmt(px)} {_fmt(py)} {_fmt(pz)}"
-            if cloud.intensity is not None:
-                line += f" {_fmt(cloud.intensity[n])}"
-            f.write(line + "\n")
+        f.write("".join(line + "\n" for line in header))
+        # a block of rows at a time: the strings of a whole cloud take ~24 MiB
+        for start in range(0, len(cloud), PLY_BLOCK_ROWS):
+            block = [_fmt_column(c[start:start + PLY_BLOCK_ROWS]) for c in columns]
+            f.write("".join(" ".join(row) + "\n" for row in zip(*block)))

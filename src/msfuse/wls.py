@@ -8,15 +8,27 @@ The filtered base layer is the minimizer of
 i.e. the solution of the SPD sparse system (I + eta*A) sigma = h with A the
 5-point Laplacian weighted by inverse gradient magnitudes of the guide.
 Repeated filtering yields the 4-level base-layer stack R0..R3.
+
+The system is solved by conjugate gradient preconditioned with one
+symmetric multigrid V-cycle (Galerkin coarse operators, damped-Jacobi
+smoothing), the multilevel preconditioning of Laplacian systems of
+Szeliski (SIGGRAPH 2006) and Krishnan, Fattal & Szeliski (SIGGRAPH 2013):
+the smoothness weights reach 1/eps_w, where a diagonal preconditioner
+needs over a thousand CG iterations on the smoothest base layer.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .core import gradient, validate_image
+
+# Jacobi damping on the finest grid, and the largest grid solved directly.
+JACOBI_OMEGA = 0.7
+COARSEST_UNKNOWNS = 256
 
 
 class SolverError(RuntimeError):
@@ -94,28 +106,84 @@ def build_laplacian(guide, params):
     return sp.diags(bands, offsets, shape=(n, n), format="csr")
 
 
+def _interpolation(m):
+    """1-D linear interpolation from ceil(m/2) coarse points to m fine ones.
+
+    Fine point 2j copies coarse point j, 2j+1 averages j and j+1 (copies j
+    at the end), so constants interpolate exactly; m = 1 is the identity.
+    """
+    coarse = (m + 1) // 2
+    fine = np.arange(m)
+    pairs = fine[(fine % 2 == 1) & (fine // 2 + 1 < coarse)]
+    rows = np.concatenate((fine, pairs))
+    cols = np.concatenate((fine // 2, pairs // 2 + 1))
+    vals = np.ones(rows.size)
+    vals[pairs] = vals[m:] = 0.5
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, coarse))
+
+
+def multigrid_preconditioner(system, shape):
+    """One symmetric V-cycle for the SPD ``system`` on a ``shape`` grid.
+
+    Level l+1 is the Galerkin product P'A_lP, P = kron(P_h, P_w) the linear
+    interpolation of each side from half its length, down to a grid of at
+    most COARSEST_UNKNOWNS unknowns solved by LU. Each level runs one
+    damped-Jacobi sweep before and one after its coarse correction. On the
+    coarse levels eig(D^-1 A) reaches ~3.9, so their damping is capped at
+    2*omega/g, g = max_i sum_j |a_ij| / a_ii >= that eigenvalue: every sweep
+    contracts, which keeps the V-cycle positive definite (g < 2 on the
+    finest level). The levels are a flat list: no reference cycle.
+    """
+    levels = []
+    a = system.tocsr()
+    height, width = shape
+    while a.shape[0] > COARSEST_UNKNOWNS:
+        p = sp.kron(_interpolation(height), _interpolation(width), format="csr")
+        diagonal = a.diagonal()
+        bound = ((abs(a) @ np.ones(a.shape[0])) / diagonal).max()
+        omega = JACOBI_OMEGA * min(1.0, 2.0 / bound)
+        restrict = p.T.tocsr()
+        levels.append((a, omega / diagonal, p, restrict))
+        a = restrict @ a @ p
+        height, width = (height + 1) // 2, (width + 1) // 2
+    coarsest = splu(a.tocsc())
+    return LinearOperator(system.shape, matvec=partial(_vcycle, levels, coarsest),
+                          dtype=np.float64)
+
+
+def _vcycle(levels, coarsest, r, depth=0):
+    """V-cycle approximation of A_depth^-1 r, from a zero initial guess."""
+    r = r.ravel()  # LinearOperator.matvec may pass an (n, 1) column
+    if depth == len(levels):
+        return coarsest.solve(r)
+    a, smoother, p, restrict = levels[depth]
+    x = smoother * r
+    x += p @ _vcycle(levels, coarsest, restrict @ (r - a @ x), depth + 1)
+    x += smoother * (r - a @ x)
+    return x
+
+
 def wls_filter(h, params):
     """Solve (I + eta*A) sigma = h to the configured relative residual.
 
-    Uses diagonally preconditioned conjugate gradient; raises SolverError
-    with the achieved residual if the tolerance is not met.
+    Uses conjugate gradient preconditioned with one multigrid V-cycle
+    (``multigrid_preconditioner``); raises SolverError with the achieved
+    residual if the tolerance is not met.
     """
     h = validate_image(h)
     if params.eta == 0.0:
         return h.copy()
 
-    height, width = h.shape
-    n = height * width
-    a = build_laplacian(h, params)
-    system = (sp.eye(n, format="csr") + params.eta * a).tocsr()
+    # one expression, so that A itself is not held through the solve
+    system = (sp.eye(h.size, format="csr")
+              + params.eta * build_laplacian(h, params)).tocsr()
 
     b = h.ravel()
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros_like(h)
 
-    inv_diag = 1.0 / system.diagonal()
-    precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
+    precond = multigrid_preconditioner(system, h.shape)
     iterations = 0
 
     def count(_):
@@ -135,7 +203,7 @@ def wls_filter(h, params):
     residual = np.linalg.norm(system @ x - b) / b_norm
     if residual > params.solver_tol:
         raise SolverError(residual, params.solver_tol, iterations)
-    return x.reshape(height, width)
+    return x.reshape(h.shape)
 
 
 def decompose(r0, params):

@@ -1,13 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msfuse.core import INVALID_DISPARITY
 from msfuse.reconstruct import (
     CameraRig,
     PointCloud,
+    _fmt,
+    _fmt_column,
     export_ply,
     triangulate,
 )
+
+F32 = np.float32
+# float32 values where numpy's str changes form: signed zeros, the
+# subnormal range, and both sides of the 1e-4 and 1e16 notation switches
+BOUNDARY_VALUES = [
+    0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, 1.1754944e-38,
+    np.nextafter(F32(1e-4), F32(0)), F32(1e-4), np.nextafter(F32(1e-4), F32(1)),
+    np.nextafter(F32(1e16), F32(0)), F32(1e16), np.nextafter(F32(1e16), F32(1e17)),
+    1.5e16, -1.5e16, 3.4028235e38, 1.0, -1.0, 0.1, 123456.0, 16777217.0,
+]
 
 
 def project_disparity(cloud, rig, shape):
@@ -113,7 +128,41 @@ class TestTriangulate:
             CameraRig(focal_px=10.0, baseline_m=-1.0, cx=0, cy=0)
 
 
+def reference_ply(cloud):
+    """The PLY text written one point at a time with ``_fmt``."""
+    names = ["x", "y", "z"] + (["intensity"] if cloud.intensity is not None else [])
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
+    lines += [f"property float {name}" for name in names] + ["end_header"]
+    for n in range(len(cloud)):
+        values = list(cloud.points[n])
+        if cloud.intensity is not None:
+            values.append(cloud.intensity[n])
+        lines.append(" ".join(_fmt(v) for v in values))
+    return "".join(line + "\n" for line in lines)
+
+
 class TestExportPly:
+    @given(arrays(F32, st.integers(0, 40),
+                  elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    def test_column_format_matches_scalar(self, values):
+        assert _fmt_column(values) == [_fmt(v) for v in values]
+
+    def test_column_format_boundaries(self):
+        values = np.array(BOUNDARY_VALUES, dtype=F32)
+        assert _fmt_column(values) == [_fmt(v) for v in values]
+        assert _fmt_column(values)[:3] == ["0", "-0", "0." + "0" * 44 + "1"]
+
+    def test_matches_pointwise_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-5, 5, (200, 3)) * 10.0 ** rng.integers(-8, 18, (200, 3))
+        pts[:, 2] = np.abs(pts[:, 2]) + 1e-30
+        pts[: len(BOUNDARY_VALUES), 0] = BOUNDARY_VALUES
+        cloud = PointCloud(points=pts, pixels=np.zeros((200, 2), dtype=int),
+                           intensity=rng.random(200))
+        path = tmp_path / "c.ply"
+        export_ply(cloud, path)
+        assert path.read_text() == reference_ply(cloud)
+
     def test_empty_cloud(self, tmp_path):
         cloud = PointCloud(
             points=np.empty((0, 3)), pixels=np.empty((0, 2), dtype=int)
