@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from msfuse import aggregate
 from msfuse.aggregate import (
     GuidedFilterParams,
+    _box_sum,
     aggregate_cost,
     box_mean,
     guided_filter,
@@ -104,6 +108,16 @@ class TestBoxMean:
             for radius in (1, 2, 3, max(shape), max(shape) + 2):
                 got = box_mean(img, radius)
                 assert np.abs(got - box_mean_oracle(img, radius)).max() <= 1e-12
+
+    def test_stack_matches_slices(self):
+        # the (k, H, W) stack form adds exactly what each slice alone adds
+        rng = np.random.default_rng(43)
+        for shape in [(1, 1), (1, 6), (6, 1), (5, 9), (9, 4)]:
+            stack = rng.random((3,) + shape)
+            for radius in range(1, max(shape) + 3):
+                got = _box_sum(stack, radius)
+                for k in range(3):
+                    np.testing.assert_array_equal(got[k], _box_sum(stack[k], radius))
 
 
 class TestKernelWeight:
@@ -227,10 +241,30 @@ class TestAggregateCost:
         guide = rng.random((8, 8))
         vol = self._volume(rng, (8, 8), 5)
         params = GuidedFilterParams(radius=2)
+        raw = vol.data.copy()  # aggregate_cost consumes its input
         out = aggregate_cost(guide, vol, params)
+        assert np.shares_memory(out.data, vol.data)
         for k in range(5):
-            expected = np.maximum(guided_filter(guide, vol.data[:, :, k], params), 0.0)
+            expected = np.maximum(guided_filter(guide, raw[:, :, k], params), 0.0)
             np.testing.assert_array_equal(out.data[:, :, k], expected)
+
+    def test_block_boundaries(self, monkeypatch):
+        # the same 8x8 volume of 5 slices, in blocks of 2, 2 and 1 slices
+        monkeypatch.setattr(aggregate, "BLOCK_BYTES", 2 * 8 * 8 * 8)
+        self.test_slices_match_guided_filter()
+
+    def test_scratch_bounded_by_block(self):
+        # 28.1 MiB of float64 costs; scratch must not scale with the range
+        rng = np.random.default_rng(45)
+        guide = rng.random((120, 160))
+        vol = self._volume(rng, (120, 160), 192)
+        tracemalloc.start()
+        try:
+            aggregate_cost(guide, vol, GuidedFilterParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * vol.data.nbytes
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(42)
