@@ -20,11 +20,11 @@ integral is a running sum down the rows (whole rows added at a time),
 then along each row, the same additions in the same order as cumsum.
 
 aggregate_cost works in place, a block of at most BLOCK_BYTES of
-disparity slices at a time: the block is copied into a contiguous
-(k, H, W) stack, filtered there with the (H, W) guide terms broadcast
-over the slices, and copied back. Each slice's result is bit-identical
-to filtering it alone, and scratch memory is bounded by the block, not
-by the disparity range.
+disparity slices at a time: the volume is disparity-major, so each block
+is a contiguous (k, H, W) view of it, filtered with the (H, W) guide
+terms broadcast over the slices. Each slice's result is bit-identical to
+filtering it alone, and scratch memory is bounded by the block, not by
+the disparity range.
 """
 
 from dataclasses import dataclass
@@ -34,8 +34,7 @@ import numpy as np
 from .core import validate_image
 
 # Largest block of disparity slices aggregate_cost filters at once; its
-# scratch is about four blocks: the stack, two temporaries and the padded
-# integral.
+# scratch is about three blocks: two temporaries and the padded integral.
 BLOCK_BYTES = 2 << 20
 
 
@@ -174,16 +173,10 @@ def aggregate_cost(guide, volume, params):
         )
     r = params.radius
     stats = _guide_stats(guide, params)
-    data = volume.data
-    block = max(1, BLOCK_BYTES // (guide.size * data.itemsize))
-    shape = (min(block, volume.n_disparities),) + guide.shape
-    work = np.empty(shape)
-    scratch = _scratch(shape, r)
+    block = max(1, BLOCK_BYTES // volume.data[0].nbytes)
+    scratch = _scratch((min(block, volume.n_disparities),) + guide.shape, r)
     for k in range(0, volume.n_disparities, block):
-        p = data[:, :, k : k + block]
-        n = p.shape[2]
-        stack = work[:n]
-        stack[...] = p.transpose(2, 0, 1)
-        _filter(guide, stack, stats, r, [s[:n] for s in scratch])
-        np.maximum(stack, 0.0, out=p.transpose(2, 0, 1))
+        p = volume.data[k : k + block]
+        _filter(guide, p, stats, r, [s[: len(p)] for s in scratch])
+        np.maximum(p, 0.0, out=p)
     return volume

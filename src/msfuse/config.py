@@ -1,9 +1,9 @@
 """Flat `key = value` pipeline configuration.
 
 Every stage tunable takes its name, type and default from the stage's
-parameter dataclass; unknown keys are fatal (fail-fast against typos). The
-canonical text form lists every key in a fixed order, so parse -> print ->
-parse is a fixed point.
+parameter dataclass; unknown keys and values a stage rejects are fatal
+when the config is built, before any work. The canonical text form lists
+every key in a fixed order, so parse -> print -> parse is a fixed point.
 """
 
 from dataclasses import fields
@@ -58,18 +58,22 @@ class PipelineConfig:
     def __init__(self, overrides=None):
         self.values = {key: default for key, (_, default) in _SCHEMA.items()}
         for key, value in (overrides or {}).items():
-            self.set(key, value)
-
-    def set(self, key, value):
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        typ, _ = _SCHEMA[key]
-        if isinstance(value, str):
+            if key not in _SCHEMA:
+                raise ConfigError(f"unknown config key {key!r}")
+            typ, _ = _SCHEMA[key]
+            if isinstance(value, str):
+                try:
+                    value = _parse_bool(value) if typ is bool else typ(value)
+                except (ValueError, TypeError) as exc:
+                    raise ConfigError(f"bad value for {key}: {value!r}") from exc
+            self.values[key] = typ(value)
+        self._bundles = {}
+        for prefix, cls in _PARAMS.items():
+            kwargs = {f.name: self[f"{prefix}.{f.name}"] for f in fields(cls)}
             try:
-                value = _parse_bool(value) if typ is bool else typ(value)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-        self.values[key] = typ(value)
+                self._bundles[prefix] = cls(**kwargs)
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}.*: {exc}") from exc
 
     def __getitem__(self, key):
         return self.values[key]
@@ -80,7 +84,7 @@ class PipelineConfig:
     @classmethod
     def parse(cls, text):
         """Parse `key = value` lines; '#' starts a comment."""
-        cfg = cls()
+        overrides = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -88,8 +92,8 @@ class PipelineConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            cfg.set(key, value)
-        return cfg
+            overrides[key] = value
+        return cls(overrides)
 
     @classmethod
     def load(cls, path):
@@ -110,24 +114,20 @@ class PipelineConfig:
 
     # typed parameter bundles for the pipeline modules
 
-    def _params(self, prefix):
-        cls = _PARAMS[prefix]
-        return cls(**{f.name: self[f"{prefix}.{f.name}"] for f in fields(cls)})
-
     def wls_params(self):
-        return self._params("wls")
+        return self._bundles["wls"]
 
     def cost_params(self):
-        return self._params("cost")
+        return self._bundles["cost"]
 
     def guided_filter_params(self):
-        return self._params("gf")
+        return self._bundles["gf"]
 
     def fusion_params(self):
-        return self._params("fusion")
+        return self._bundles["fusion"]
 
     def disparity_params(self):
-        return self._params("disp")
+        return self._bundles["disp"]
 
     def camera_rig(self, image_shape):
         """CameraRig for a given image; negative cx/cy mean image center."""

@@ -32,7 +32,7 @@ def validate_image(img):
 
 @dataclass(frozen=True)
 class CostVolume:
-    """Per-(pixel, disparity) matching costs, shape (H, W, d_max-d_min+1)."""
+    """Per-(disparity, pixel) matching costs, shape (d_max-d_min+1, H, W)."""
 
     d_min: int
     d_max: int
@@ -44,9 +44,9 @@ class CostVolume:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 3:
             raise ValueError(f"cost volume must be 3D, got {arr.shape}")
-        if arr.shape[2] != self.d_max - self.d_min + 1:
+        if arr.shape[0] != self.d_max - self.d_min + 1:
             raise ValueError(
-                f"disparity axis {arr.shape[2]} does not match range "
+                f"disparity axis {arr.shape[0]} does not match range "
                 f"[{self.d_min}, {self.d_max}]"
             )
         if not np.isfinite(arr).all():
@@ -57,11 +57,11 @@ class CostVolume:
 
     @property
     def height(self):
-        return self.data.shape[0]
+        return self.data.shape[1]
 
     @property
     def width(self):
-        return self.data.shape[1]
+        return self.data.shape[2]
 
     @property
     def n_disparities(self):

@@ -34,8 +34,8 @@ class CostParams:
             raise ValueError("at least one mixing weight must be positive")
         if self.tau_ad <= 0 or self.tau_grad <= 0:
             raise ValueError("truncation thresholds must be > 0")
-        if self.census_radius < 1:
-            raise ValueError("census_radius must be >= 1")
+        if not 1 <= self.census_radius <= 3:
+            raise ValueError("census_radius must be in [1, 3] (uint64 codes)")
 
 
 def census_transform(img, radius):
@@ -89,7 +89,7 @@ def match_cost(left, right, params):
     cen_r = census_transform(right, params.census_radius)
 
     max_cost = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
-    volume = np.full((height, width, n_disp), max_cost)
+    volume = np.full((n_disp, height, width), max_cost)
 
     for k, c in enumerate(range(params.d_min, params.d_max + 1)):
         if c >= width:
@@ -100,7 +100,7 @@ def match_cost(left, right, params):
         ad = np.minimum(np.abs(left[:, cols] - right[:, src]), params.tau_ad)
         gr = np.minimum(np.abs(grad_l[:, cols] - grad_r[:, src]), params.tau_grad)
         ham = np.bitwise_count(cen_l[:, cols] ^ cen_r[:, src]).astype(np.float64)
-        volume[:, cols, k] = (
+        volume[k, :, cols] = (
             params.w_ad * ad + params.w_grad * gr + params.w_cen * ham / n_bits
         )
 

@@ -22,7 +22,7 @@ class DisparityParams:
 def wta(volume):
     """Per-pixel argmin over disparities; ties go to the smallest c."""
     # np.argmin returns the first minimum, i.e. the smallest disparity
-    winners = np.argmin(volume.data, axis=2)
+    winners = np.argmin(volume.data, axis=0)
     return (volume.d_min + winners).astype(np.float64)
 
 
@@ -40,9 +40,9 @@ def subpixel_refine(volume, d):
 
     iy, ix = np.nonzero(interior)
     kk = k[iy, ix]
-    c_minus = volume.data[iy, ix, kk - 1]
-    c_zero = volume.data[iy, ix, kk]
-    c_plus = volume.data[iy, ix, kk + 1]
+    c_minus = volume.data[kk - 1, iy, ix]
+    c_zero = volume.data[kk, iy, ix]
+    c_plus = volume.data[kk + 1, iy, ix]
 
     denom = 2.0 * (c_minus - 2.0 * c_zero + c_plus)
     degenerate = np.abs(denom) <= 1e-12

@@ -9,9 +9,9 @@ runs the same pass on the horizontally mirrored pyramids with the camera
 roles swapped: the WLS filter commutes with mirroring, so these equal the
 pyramids of the mirrored images up to solver roundoff.
 
-The four per-scale branches are pure and run on a thread pool
-(MSFUSE_THREADS, 0 = auto); they are summed in scale order, so the output
-is identical for every thread count.
+The four per-scale branches run on a thread pool (MSFUSE_THREADS, 0 =
+auto); each adds its weighted volume into the sum as it finishes, in
+scale order, so the output is identical for every thread count.
 """
 
 import os
@@ -56,19 +56,27 @@ def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
     gf_params = config.guided_filter_params()
     weights = fusion.finest_weights(config.fusion_params())
 
-    def branch(s):
+    # returns the weighted sum of scales 0..s; previous is the future of
+    # scale s - 1
+    def branch(s, previous):
         raw = cost.match_cost(pyr_ref[s], pyr_other[s], cost_params)
         agg = aggregate.aggregate_cost(pyr_ref[s], raw, gf_params).data
-        agg_min = agg.min(axis=2) if collect else None
+        agg_min = agg.min(axis=0) if collect else None
         agg *= weights[s]  # in place: one volume fewer per running branch
+        if previous is not None:
+            # the pool starts tasks in submission order, so scale s - 1 is
+            # running or done. Summing here, not as results come back,
+            # frees this volume before its worker starts another branch.
+            total = previous.result()[0]
+            agg = np.add(total, agg, out=total)  # in place, in scale order
         return agg, agg_min
 
-    weighted, agg_min = zip(*pool.map(branch, range(4)))
-    total = weighted[0]
-    for agg in weighted[1:]:
-        total += agg  # in place, in scale order: as sum() but no temporaries
+    futures = [None]
+    for s in range(4):
+        futures.append(pool.submit(branch, s, futures[-1]))
+    total, agg_min = zip(*(f.result() for f in futures[1:]))
     volume = CostVolume(d_min=cost_params.d_min, d_max=cost_params.d_max,
-                        data=total)
+                        data=total[-1])
     d = disparity.wta(volume)
     if config.disparity_params().subpixel:
         d = disparity.subpixel_refine(volume, d)

@@ -90,7 +90,7 @@ def test_c3_guided_filter_kernel_fidelity():
                 worst = max(worst, np.abs(fast[ys, xs] - oracle[ys, xs]).max())
 
     guide = rng.random((8, 8))
-    vol = CostVolume(d_min=0, d_max=0, data=np.full((8, 8, 1), 0.4))
+    vol = CostVolume(d_min=0, d_max=0, data=np.full((1, 8, 8), 0.4))
     out = aggregate_cost(guide, vol, params)
     const_delta = np.abs(out.data - 0.4).max()
 
@@ -104,7 +104,7 @@ def test_c3_guided_filter_kernel_fidelity():
 def test_c4_fusion():
     rng = np.random.default_rng(104)
     vols = [
-        CostVolume(d_min=0, d_max=2, data=rng.random((4, 4, 3))) for _ in range(4)
+        CostVolume(d_min=0, d_max=2, data=rng.random((3, 4, 4))) for _ in range(4)
     ]
     ident = all(
         np.array_equal(a.data, b.data)
@@ -112,7 +112,7 @@ def test_c4_fusion():
     )
 
     const_vols = [
-        CostVolume(d_min=0, d_max=0, data=np.full((2, 2, 1), 0.9)) for _ in range(4)
+        CostVolume(d_min=0, d_max=0, data=np.full((1, 2, 2), 0.9)) for _ in range(4)
     ]
     const_delta = max(
         np.abs(v.data - 0.9).max()

@@ -216,22 +216,22 @@ class TestGuidedFilter:
 class TestAggregateCost:
     def _volume(self, rng, shape, n_disp):
         return CostVolume(
-            d_min=0, d_max=n_disp - 1, data=rng.random(shape + (n_disp,))
+            d_min=0, d_max=n_disp - 1, data=rng.random((n_disp,) + shape)
         )
 
     def test_equal_slices_stay_equal(self):
         rng = np.random.default_rng(39)
         guide = rng.random((8, 8))
         one = rng.random((8, 8))
-        vol = CostVolume(d_min=0, d_max=2, data=np.dstack([one, one, one]))
+        vol = CostVolume(d_min=0, d_max=2, data=np.stack([one, one, one]))
         out = aggregate_cost(guide, vol, GuidedFilterParams(radius=2))
-        np.testing.assert_array_equal(out.data[:, :, 0], out.data[:, :, 1])
-        np.testing.assert_array_equal(out.data[:, :, 0], out.data[:, :, 2])
+        np.testing.assert_array_equal(out.data[0], out.data[1])
+        np.testing.assert_array_equal(out.data[0], out.data[2])
 
     def test_constant_volume_preserved(self):
         rng = np.random.default_rng(40)
         guide = rng.random((8, 8))
-        vol = CostVolume(d_min=0, d_max=3, data=np.full((8, 8, 4), 0.25))
+        vol = CostVolume(d_min=0, d_max=3, data=np.full((4, 8, 8), 0.25))
         out = aggregate_cost(guide, vol, GuidedFilterParams(radius=2))
         # holds image-wide, borders included
         np.testing.assert_allclose(out.data, 0.25, atol=1e-10)
@@ -245,8 +245,8 @@ class TestAggregateCost:
         out = aggregate_cost(guide, vol, params)
         assert np.shares_memory(out.data, vol.data)
         for k in range(5):
-            expected = np.maximum(guided_filter(guide, raw[:, :, k], params), 0.0)
-            np.testing.assert_array_equal(out.data[:, :, k], expected)
+            expected = np.maximum(guided_filter(guide, raw[k], params), 0.0)
+            np.testing.assert_array_equal(out.data[k], expected)
 
     def test_block_boundaries(self, monkeypatch):
         # the same 8x8 volume of 5 slices, in blocks of 2, 2 and 1 slices

@@ -212,6 +212,26 @@ class TestReconstruct:
         assert not out_d.exists()
         assert not (tmp_path / "c.ply").exists()
 
+    @pytest.mark.parametrize(
+        "text", ["cost.d_min = 5\ncost.d_max = 2\n", "cost.census_radius = 4\n"]
+    )
+    def test_bad_stage_params_exit_1_before_work(
+        self, tmp_path, monkeypatch, capsys, text
+    ):
+        left, right = self._gen_pair(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+
+        def decompose(*args):
+            raise AssertionError("decompose ran on a bad config")
+
+        monkeypatch.setattr("msfuse.wls.decompose", decompose)
+        assert run(
+            ["reconstruct", left, right, "--config", cfg,
+             "--out-disparity", tmp_path / "d.pfm", "--out-cloud", tmp_path / "c.ply"]
+        ) == 1
+        assert "bad config" in capsys.readouterr().err
+
     def test_size_mismatch_exit_1(self, tmp_path):
         save_image(np.zeros((4, 4)), tmp_path / "a.pfm", format="pfm")
         save_image(np.zeros((4, 5)), tmp_path / "b.pfm", format="pfm")

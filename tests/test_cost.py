@@ -36,7 +36,7 @@ def cost_oracle(left, right, params):
     cr = census_oracle(right, params.census_radius)
     n_bits = (2 * params.census_radius + 1) ** 2 - 1
     n_disp = params.d_max - params.d_min + 1
-    vol = np.zeros((height, width, n_disp))
+    vol = np.zeros((n_disp, height, width))
     for y in range(height):
         for x in range(width):
             for k, c in enumerate(range(params.d_min, params.d_max + 1)):
@@ -47,7 +47,7 @@ def cost_oracle(left, right, params):
                     ad = min(abs(left[y, x] - right[y, xr]), params.tau_ad)
                     gd = min(abs(gl[y, x] - gr[y, xr]), params.tau_grad)
                     ham = bin(int(cl[y, x]) ^ int(cr[y, xr])).count("1") / n_bits
-                vol[y, x, k] = (
+                vol[k, y, x] = (
                     params.w_ad * ad + params.w_grad * gd + params.w_cen * ham
                 )
     return vol
@@ -93,7 +93,7 @@ class TestMatchCost:
         rng = np.random.default_rng(20)
         img = rng.random((8, 8))
         vol = match_cost(img, img, CostParams(d_min=0, d_max=3))
-        np.testing.assert_allclose(vol.data[:, :, 0], 0.0, atol=1e-15)
+        np.testing.assert_allclose(vol.data[0], 0.0, atol=1e-15)
 
     def test_shifted_pair_zero_at_true_disparity(self):
         rng = np.random.default_rng(21)
@@ -105,14 +105,14 @@ class TestMatchCost:
         vol = match_cost(left, right, params)
         # valid support: right sample in bounds and census window clear of
         # the disoccluded band
-        np.testing.assert_allclose(vol.data[:, 6:-7, 5], 0.0, atol=1e-15)
+        np.testing.assert_allclose(vol.data[5, :, 6:-7], 0.0, atol=1e-15)
 
     def test_single_term_substitution(self):
         # equal gradients and census everywhere, only the AD term fires
         left = np.full((3, 3), 0.5)
         right = np.full((3, 3), 0.3)
         vol = match_cost(left, right, CostParams(d_min=0, d_max=0))
-        assert vol.data[1, 1, 0] == pytest.approx(0.3 * min(0.2, 0.12))
+        assert vol.data[0, 1, 1] == pytest.approx(0.3 * min(0.2, 0.12))
 
     def test_matches_full_oracle(self):
         rng = np.random.default_rng(22)
@@ -135,7 +135,7 @@ class TestMatchCost:
         params = CostParams(d_min=3, d_max=3)
         vol = match_cost(rng.random((4, 8)), rng.random((4, 8)), params)
         bound = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
-        np.testing.assert_allclose(vol.data[:, :3, 0], bound)
+        np.testing.assert_allclose(vol.data[0, :, :3], bound)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -16,66 +16,69 @@ from msfuse.wls import WlsParams, decompose
 
 
 def volume_from(costs, d_min=0):
+    """Volume of (D, H, W) costs; a flat list is the costs of one pixel."""
     data = np.asarray(costs, dtype=np.float64)
-    return CostVolume(d_min=d_min, d_max=d_min + data.shape[2] - 1, data=data)
+    if data.ndim == 1:
+        data = data[:, None, None]
+    return CostVolume(d_min=d_min, d_max=d_min + data.shape[0] - 1, data=data)
 
 
 class TestWta:
     def test_unique_minimum(self):
-        vol = volume_from([[[3.0, 1.0, 2.0]]])
+        vol = volume_from([3.0, 1.0, 2.0])
         assert wta(vol)[0, 0] == 1.0
 
     def test_tie_breaks_small(self):
-        vol = volume_from([[[1.0, 1.0, 2.0]]])
+        vol = volume_from([1.0, 1.0, 2.0])
         assert wta(vol)[0, 0] == 0.0
 
     def test_respects_d_min(self):
-        vol = volume_from([[[3.0, 1.0]]], d_min=4)
+        vol = volume_from([3.0, 1.0], d_min=4)
         assert wta(vol)[0, 0] == 5.0
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(60)
-        data = rng.random((8, 8, 10))
+        data = rng.random((10, 8, 8))
         vol = volume_from(data, d_min=2)
         d = wta(vol)
         for y in range(8):
             for x in range(8):
                 best, best_c = np.inf, None
                 for k in range(10):
-                    if data[y, x, k] < best:
-                        best, best_c = data[y, x, k], 2 + k
+                    if data[k, y, x] < best:
+                        best, best_c = data[k, y, x], 2 + k
                 assert d[y, x] == best_c
 
     def test_range_invariant(self):
         rng = np.random.default_rng(61)
-        vol = volume_from(rng.random((6, 6, 5)), d_min=1)
+        vol = volume_from(rng.random((5, 6, 6)), d_min=1)
         d = wta(vol)
         assert (d >= 1).all() and (d <= 5).all()
 
 
 class TestSubpixel:
     def test_symmetric_parabola(self):
-        vol = volume_from([[[1.0, 0.0, 1.0]]])
+        vol = volume_from([1.0, 0.0, 1.0])
         d = subpixel_refine(vol, wta(vol))
         assert d[0, 0] == 1.0
 
     def test_closed_form_vertex(self):
-        vol = volume_from([[[2.0, 0.0, 1.0]]])
+        vol = volume_from([2.0, 0.0, 1.0])
         d = subpixel_refine(vol, wta(vol))
         assert d[0, 0] == pytest.approx(1 + 1 / 6)
 
     def test_flat_degenerate(self):
-        vol = volume_from([[[1.0, 1.0, 1.0]]])
+        vol = volume_from([1.0, 1.0, 1.0])
         d = subpixel_refine(vol, wta(vol))
         assert d[0, 0] == 0.0  # winner stays the tie-broken 0
 
     def test_boundary_winner_unchanged(self):
-        vol = volume_from([[[0.0, 1.0, 2.0]]])
+        vol = volume_from([0.0, 1.0, 2.0])
         assert subpixel_refine(vol, wta(vol))[0, 0] == 0.0
 
     def test_offset_within_half(self):
         rng = np.random.default_rng(62)
-        vol = volume_from(rng.random((8, 8, 9)), d_min=0)
+        vol = volume_from(rng.random((9, 8, 8)), d_min=0)
         d0 = wta(vol)
         d1 = subpixel_refine(vol, d0)
         assert np.abs(d1 - d0).max() <= 0.5

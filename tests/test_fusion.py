@@ -17,7 +17,7 @@ from msfuse.fusion import (
 
 def make_volumes(rng, shape=(4, 4), n_disp=3):
     return [
-        CostVolume(d_min=0, d_max=n_disp - 1, data=rng.random(shape + (n_disp,)))
+        CostVolume(d_min=0, d_max=n_disp - 1, data=rng.random((n_disp,) + shape))
         for _ in range(4)
     ]
 
@@ -65,7 +65,7 @@ class TestFinestWeights:
     @settings(max_examples=50, deadline=None)
     @given(
         zeta=st.floats(0, 1e3),
-        data=arrays(np.float64, (4, 3, 4, 5), elements=st.floats(0, 1)),
+        data=arrays(np.float64, (4, 5, 3, 4), elements=st.floats(0, 1)),
     )
     def test_weighted_sum_matches_fuse_scales(self, zeta, data):
         # the pipeline computes only the finest fused volume, as this sum
@@ -86,7 +86,7 @@ class TestFuseScales:
     def test_constant_vector_preserved(self):
         k = 0.37
         vols = [
-            CostVolume(d_min=0, d_max=1, data=np.full((3, 3, 2), k)) for _ in range(4)
+            CostVolume(d_min=0, d_max=1, data=np.full((2, 3, 3), k)) for _ in range(4)
         ]
         out = fuse_scales(vols, FusionParams(zeta=0.8))
         for v in out:
@@ -131,7 +131,7 @@ class TestFuseScales:
     def test_shape_mismatch(self):
         rng = np.random.default_rng(54)
         vols = make_volumes(rng)
-        vols[2] = CostVolume(d_min=0, d_max=2, data=rng.random((5, 4, 3)))
+        vols[2] = CostVolume(d_min=0, d_max=2, data=rng.random((3, 5, 4)))
         with pytest.raises(ValueError):
             fuse_scales(vols, FusionParams())
 
