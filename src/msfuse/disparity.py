@@ -20,9 +20,18 @@ class DisparityParams:
 
 
 def wta(volume):
-    """Per-pixel argmin over disparities; ties go to the smallest c."""
-    # np.argmin returns the first minimum, i.e. the smallest disparity
-    winners = np.argmin(volume.data, axis=0)
+    """Per-pixel argmin over disparities; ties go to the smallest c.
+
+    A running minimum over the (H, W) slices: np.argmin along the leading
+    axis would first copy the whole volume. A slice wins only where it is
+    strictly below the minimum so far, so ties keep the smaller disparity.
+    """
+    data = volume.data
+    best = data[0].copy()
+    winners = np.zeros(best.shape, dtype=np.intp)
+    for k in range(1, data.shape[0]):
+        np.copyto(winners, k, where=data[k] < best)
+        np.minimum(best, data[k], out=best)
     return (volume.d_min + winners).astype(np.float64)
 
 

@@ -9,9 +9,12 @@ runs the same pass on the horizontally mirrored pyramids with the camera
 roles swapped: the WLS filter commutes with mirroring, so these equal the
 pyramids of the mirrored images up to solver roundoff.
 
-The four per-scale branches run on a thread pool (MSFUSE_THREADS, 0 =
-auto); each adds its weighted volume into the sum as it finishes, in
-scale order, so the output is identical for every thread count.
+One thread pool (MSFUSE_THREADS, 0 = auto) runs both decompositions,
+then the four per-scale branches of each view pass. The WLS solve uses
+no BLAS reduction, so the two decompositions overlap, and each one's
+result does not depend on the threads. Each branch adds its weighted
+volume into the sum as it finishes, in scale order, so the output is
+identical for every thread count.
 """
 
 import os
@@ -84,18 +87,20 @@ def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
 
 
 def run(left, right, config, collect=False):
-    """Full pipeline: left disparity, mirrored right disparity, left-right
-    consistency and invalid fill. MSFUSE_THREADS sizes the branch pool
-    (see thread_count).
+    """Full pipeline: both decompositions, left disparity, mirrored right
+    disparity, left-right consistency and invalid fill. MSFUSE_THREADS
+    sizes the pool that runs the decompositions and the branches (see
+    thread_count).
 
     Returns (disparity_map, validity_mask, ScaleOutputs | None).
     """
     disp_params = config.disparity_params()
-    pyr_l = wls.decompose(left, config.wls_params())
-    pyr_r = wls.decompose(right, config.wls_params())
     mirrored = lambda pyr: [np.fliplr(x) for x in pyr]
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+        pyramids = [pool.submit(wls.decompose, image, config.wls_params())
+                    for image in (left, right)]
+        pyr_l, pyr_r = (f.result() for f in pyramids)
         d_left, agg_min = view_disparity(pool, pyr_l, pyr_r, config, collect)
         d_right_mirrored, _ = view_disparity(
             pool, mirrored(pyr_r), mirrored(pyr_l), config

@@ -49,6 +49,19 @@ class TestWta:
                         best, best_c = data[k, y, x], 2 + k
                 assert d[y, x] == best_c
 
+    @pytest.mark.parametrize("n_disp", [1, 2, 17, 96])
+    def test_matches_argmin_with_ties(self, n_disp):
+        # costs on a coarse grid tie often; planted copies of the minimum
+        # at a later disparity must not win
+        rng = np.random.default_rng(n_disp)
+        data = rng.integers(0, 4, (n_disp, 9, 11)).astype(np.float64)
+        later = rng.integers(0, n_disp, (9, 11))
+        first = np.argmin(data, axis=0)
+        np.put_along_axis(data, np.maximum(first, later)[None],
+                          np.min(data, axis=0)[None], axis=0)
+        expected = 3 + np.argmin(data, axis=0)
+        np.testing.assert_array_equal(wta(volume_from(data, d_min=3)), expected)
+
     def test_range_invariant(self):
         rng = np.random.default_rng(61)
         vol = volume_from(rng.random((5, 6, 6)), d_min=1)

@@ -1,8 +1,13 @@
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import cg as scipy_cg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -242,6 +247,61 @@ class TestMultigrid:
         assert max(counts) <= 150, counts
 
 
+class TestCg:
+    """scipy.sparse.linalg.cg is the oracle for wls.cg's BLAS-free loop."""
+
+    IMAGES = {
+        "random-48x64": lambda: np.random.default_rng(20).random((48, 64)),
+        "rdot-96x128": lambda: synth.random_dot_pair(128, 96, 5, 1)[0],
+        "strip-1x1000": lambda: np.random.default_rng(21).random((1, 1000)),
+    }
+
+    @staticmethod
+    def solve(cg, h, **kwargs):
+        system = wls_system(h, WlsParams())
+        b = h.ravel()
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        x, info = cg(system, b, x0=b.copy(), atol=0.0,
+                     M=multigrid_preconditioner(system, h.shape),
+                     callback=count, **kwargs)
+        return x, info, iterations
+
+    @pytest.mark.parametrize("image", IMAGES)
+    def test_matches_scipy(self, image):
+        h = self.IMAGES[image]()
+        x, info, iterations = self.solve(wls.cg, h, rtol=1e-8, maxiter=10000)
+        ref, ref_info, ref_iterations = self.solve(scipy_cg, h, rtol=1e-8,
+                                                   maxiter=10000)
+        assert info == ref_info == 0
+        assert iterations == ref_iterations
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("image", IMAGES)
+    def test_maxiter_exhausted(self, image):
+        h = self.IMAGES[image]()
+        _, info, iterations = self.solve(wls.cg, h, rtol=1e-15, maxiter=3)
+        _, ref_info, _ = self.solve(scipy_cg, h, rtol=1e-15, maxiter=3)
+        assert info == ref_info == iterations == 3
+        with pytest.raises(SolverError) as err:
+            wls_filter(h, WlsParams(solver_tol=1e-15, max_iter=3))
+        assert err.value.iterations == 3
+
+
+# decomposes a random-dot image and prints the pyramid's digest
+DECOMPOSE_DIGEST = """
+import hashlib
+import numpy as np
+from msfuse import synth, wls
+layers = wls.decompose(synth.random_dot_pair(128, 96, 5, 1)[0], wls.WlsParams())
+print(hashlib.sha256(np.stack(layers).tobytes()).hexdigest())
+"""
+
+
 class TestBuildLaplacian:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 12)])
     def test_encodes_smoothness_energy(self, shape):
@@ -301,6 +361,22 @@ class TestDecompose:
         mirrored = decompose(np.fliplr(img), params)
         for base, flipped in zip(decompose(img, params), mirrored):
             assert np.abs(np.fliplr(flipped) - base).max() <= 1e-6
+
+    def test_independent_of_blas_threads(self):
+        # OpenBLAS reads its thread count once, at load: one process each
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", DECOMPOSE_DIGEST],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for n in ("1", "2")
+        ]
+        assert digests[0] == digests[1]
 
     def test_tv_monotone(self):
         rng = np.random.default_rng(8)
