@@ -10,9 +10,10 @@ roles swapped: the WLS filter commutes with mirroring, so these equal the
 pyramids of the mirrored images up to solver roundoff.
 
 One thread pool (MSFUSE_THREADS, 0 = auto) runs both decompositions,
-then the four per-scale branches of each view pass. The WLS solve uses
-no BLAS reduction, so the two decompositions overlap, and each one's
-result does not depend on the threads. Each branch adds its weighted
+then the four per-scale branches of each view pass. The WLS solve takes
+no inner product from BLAS and makes its LAPACK line sweeps without the
+GIL, so the two decompositions run in parallel, and each one's result
+does not depend on the threads. Each branch adds its weighted
 volume into the sum as it finishes, in scale order, so the output is
 identical for every thread count.
 """

@@ -28,9 +28,10 @@ the guide's edges and are strongly anisotropic along them:
   is one ``dpttrs`` call over all lines of a direction.
 On the benchmark's 8-bit 256x192 random-dot images CG needs 18/28/10
 iterations per level (linear interpolation with point Jacobi: 145/96/31).
-scipy's LAPACK wrappers hold the GIL, so the ``dpttrs`` sweeps of the two
-views' concurrent decompositions run one at a time; the sparse products
-between them overlap.
+The sweeps call LAPACK through the function pointer that
+``scipy.linalg.cython_lapack`` exports, with ctypes, which releases the GIL
+(scipy's f2py wrappers hold it), so the two views' concurrent
+decompositions overlap in their sweeps as in their sparse products.
 
 The CG loop is scipy's iteration written out (``cg``) with every inner
 product and norm in numpy's own loop (``_dot``), not BLAS: the base layers
@@ -39,18 +40,46 @@ decompositions run in parallel threads without contending for the BLAS
 thread server.
 """
 
+import ctypes
+import re
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dpttrf
 from scipy.sparse.linalg import LinearOperator, splu
 
 from .core import gradient, validate_image
 
 # The largest grid solved directly.
 COARSEST_UNKNOWNS = 256
+
+# dpttrs(n, nrhs, d, e, b, ldb, info) as its cython_lapack capsule is named;
+# SciPy's double is a typedef whose name ends in _d
+_DPTTRS_SIGNATURE = re.compile(
+    r"void \(int \*, int \*, (?:(?:double|\w*_d) \*, ){3}int \*, int \*\)")
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _bind_dpttrs(capsule):
+    """LAPACK dpttrs behind a cython_lapack ``capsule``, as a ctypes
+    function of seven addresses that releases the GIL while it runs."""
+    name = _capsule_name(capsule)
+    if not _DPTTRS_SIGNATURE.fullmatch(name.decode()):
+        raise ImportError(
+            f"cython_lapack dpttrs has the signature {name.decode()!r}, "
+            "not (int *, int *, double *, double *, double *, int *, int *)")
+    function = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 7)
+    return function(_capsule_pointer(capsule, name))
+
+
+_dpttrs = _bind_dpttrs(cython_lapack.__pyx_capi__["dpttrs"])
 
 
 class SolverError(RuntimeError):
@@ -237,15 +266,21 @@ def _line_factors(a, shape):
     return factors
 
 
-def _relax(level, r, axis):
-    """One line sweep x = T^-1 r with T the x-line (axis 0) or y-line
-    (axis 1) blocks of the level's operator."""
-    _, _, _, factors, (height, width) = level
-    d, e = factors[axis]
-    if axis == 0:
-        return dpttrs(d, e, r)[0]
-    x = dpttrs(d, e, r.reshape(height, width).T.ravel(), overwrite_b=True)[0]
-    return x.reshape(width, height).T.ravel()
+def _line_sweep(d, e, b):
+    """A call of no arguments that overwrites ``b`` with T^-1 b, T the lines
+    that dpttrf factored into (d, e). Every argument is bound here, so the
+    call converts nothing. ``info`` flags only illegal arguments: not read.
+    """
+    if not (d.size == e.size + 1 == b.size and all(
+            v.dtype == np.float64 and v.flags.c_contiguous for v in (d, e, b))):
+        raise ValueError("line sweep needs contiguous float64 d, e, b of "
+                         "sizes n, n - 1, n")
+    ints = np.array([d.size, 1, 0], dtype=np.intc)  # n (= ldb), nrhs, info
+    n, nrhs, info = (ints.ctypes.data + k * ints.itemsize for k in range(3))
+    sweep = partial(_dpttrs, n, nrhs, d.ctypes.data, e.ctypes.data,
+                    b.ctypes.data, n, info)
+    sweep.arrays = ints, d, e, b  # the memory the addresses point into
+    return sweep
 
 
 def multigrid_preconditioner(system, shape):
@@ -259,20 +294,47 @@ def multigrid_preconditioner(system, shape):
     V-cycle is symmetric. A line sweep x += T^-1 (r - Ax) contracts in the
     A-norm because 2T - A is A with the sign of every coupling between
     adjacent lines flipped, which is similar to A; so the V-cycle is
-    positive definite with eig(BA) in (0, 1]. The levels are a flat list:
-    no reference cycle.
+    positive definite with eig(BA) in (0, 1]. The sweeps solve in a buffer
+    the preconditioner owns, so it runs one V-cycle at a time.
     """
+    return LinearOperator(system.shape, dtype=np.float64,
+                          matvec=partial(_vcycle, *_levels(system, shape)))
+
+
+def _levels(system, shape):
+    """The V-cycle's levels above the direct solve, a flat list (no
+    reference cycle), and the LU factors of the coarsest grid. A level is
+    (A, P, P', shape, buffer, sweeps): both line sweeps solve in its
+    ``buffer``, the first unknowns of one buffer that all levels share. A
+    level holds nothing in it while the coarser levels run."""
     levels = []
     a = system.tocsr()
+    shared = np.empty(a.shape[0])
     while a.shape[0] > COARSEST_UNKNOWNS:
         p = _operator_interpolation(a, shape)
         restrict = p.T.tocsr()
-        levels.append((a, p, restrict, _line_factors(a, shape), shape))
+        buffer = shared[:a.shape[0]]
+        sweeps = [_line_sweep(d, e, buffer) for d, e in _line_factors(a, shape)]
+        levels.append((a, p, restrict, shape, buffer, sweeps))
         a = restrict @ a @ p
         shape = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
-    coarsest = splu(a.tocsc())
-    return LinearOperator(system.shape, matvec=partial(_vcycle, levels, coarsest),
-                          dtype=np.float64)
+    return levels, splu(a.tocsc())
+
+
+def _relax(level, r, x, axis):
+    """One line sweep x += T^-1 (r - Ax), T the x-line (axis 0) or y-line
+    (axis 1) blocks of the level's operator, solved in the level's buffer:
+    the y-lines as a column-major copy of the residual."""
+    a, _, _, (height, width), buffer, sweeps = level
+    if axis == 0:
+        np.subtract(r, a @ x, out=buffer)
+        sweeps[0]()
+        x += buffer
+        return
+    columns = buffer.reshape(width, height)
+    np.copyto(columns, (r - a @ x).reshape(height, width).T)
+    sweeps[1]()
+    x += columns.T.ravel()
 
 
 def _vcycle(levels, coarsest, r, depth=0):
@@ -281,12 +343,14 @@ def _vcycle(levels, coarsest, r, depth=0):
     if depth == len(levels):
         return coarsest.solve(r)
     level = levels[depth]
-    a, p, restrict = level[:3]
-    x = _relax(level, r, 0)
-    x += _relax(level, r - a @ x, 1)
+    a, p, restrict, _, buffer, sweeps = level
+    np.copyto(buffer, r)  # the x-line sweep from x = 0
+    sweeps[0]()
+    x = buffer.copy()
+    _relax(level, r, x, 1)
     x += p @ _vcycle(levels, coarsest, restrict @ (r - a @ x), depth + 1)
-    x += _relax(level, r - a @ x, 1)
-    x += _relax(level, r - a @ x, 0)
+    _relax(level, r, x, 1)
+    _relax(level, r, x, 0)
     return x
 
 

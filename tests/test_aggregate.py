@@ -27,30 +27,44 @@ def box_mean_oracle(img, radius):
     return out
 
 
-def kernel_weight(guide, i, j, params):
+def window_stats(guide, radius):
+    """Mean and variance of the clipped window at every centre, each from
+    one ``win.mean()`` and ``win.var()`` call."""
+    height, width = guide.shape
+    mean, var = np.empty_like(guide), np.empty_like(guide)
+    for ly in range(height):
+        for lx in range(width):
+            win = guide[
+                max(ly - radius, 0) : min(ly + radius, height - 1) + 1,
+                max(lx - radius, 0) : min(lx + radius, width - 1) + 1,
+            ]
+            mean[ly, lx] = win.mean()
+            var[ly, lx] = win.var()
+    return mean, var
+
+
+def kernel_weight(guide, i, j, params, stats=None):
     """Explicit guided-filter kernel L(i,j); the slow oracle form.
 
     i and j are (row, col) pairs. Sums over every window center l whose
     clipped window contains both pixels; window statistics use the actual
     (clipped) pixels, the 1/|lam|^2 prefactor uses the full window size.
+    ``stats`` is ``window_stats(guide, params.radius)``, computed here when
+    not given.
     """
     height, width = guide.shape
     r = params.radius
     full = (2 * r + 1) ** 2
     iy, ix = i
     jy, jx = j
+    mean, var = window_stats(guide, r) if stats is None else stats
 
     total = 0.0
     for ly in range(max(iy - r, jy - r, 0), min(iy + r, jy + r, height - 1) + 1):
         for lx in range(max(ix - r, jx - r, 0), min(ix + r, jx + r, width - 1) + 1):
-            win = guide[
-                max(ly - r, 0) : min(ly + r, height - 1) + 1,
-                max(lx - r, 0) : min(lx + r, width - 1) + 1,
-            ]
-            mean = win.mean()
-            var = win.var()
-            total += 1.0 + (guide[iy, ix] - mean) * (guide[jy, jx] - mean) / (
-                var + params.xi
+            m = mean[ly, lx]
+            total += 1.0 + (guide[iy, ix] - m) * (guide[jy, jx] - m) / (
+                var[ly, lx] + params.xi
             )
     return total / full**2
 
@@ -59,11 +73,12 @@ def kernel_row_sum(guide, i, params):
     """Normalizer N_i = sum_j L(i,j) (exactly 1 for interior pixels)."""
     height, width = guide.shape
     r = params.radius
+    stats = window_stats(guide, r)
     iy, ix = i
     total = 0.0
     for jy in range(max(iy - 2 * r, 0), min(iy + 2 * r, height - 1) + 1):
         for jx in range(max(ix - 2 * r, 0), min(ix + 2 * r, width - 1) + 1):
-            total += kernel_weight(guide, i, (jy, jx), params)
+            total += kernel_weight(guide, i, (jy, jx), params, stats)
     return total
 
 
@@ -71,6 +86,7 @@ def kernel_filter_oracle(guide, p, params):
     """Explicit kernel sum sum_j L(i,j) p_j / N_i at every pixel."""
     height, width = guide.shape
     r = params.radius
+    stats = window_stats(guide, r)
     out = np.empty_like(p)
     for iy in range(height):
         for ix in range(width):
@@ -78,7 +94,7 @@ def kernel_filter_oracle(guide, p, params):
             norm = 0.0
             for jy in range(max(iy - 2 * r, 0), min(iy + 2 * r, height - 1) + 1):
                 for jx in range(max(ix - 2 * r, 0), min(ix + 2 * r, width - 1) + 1):
-                    w = kernel_weight(guide, (iy, ix), (jy, jx), params)
+                    w = kernel_weight(guide, (iy, ix), (jy, jx), params, stats)
                     total += w * p[jy, jx]
                     norm += w
             out[iy, ix] = total / norm

@@ -1,13 +1,18 @@
+import ctypes
 import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import cg as scipy_cg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,6 +340,130 @@ class TestMultigrid:
             decompose(h, WlsParams())
             assert len(counts) == 3
             assert max(counts) <= 40, (h.shape, counts)
+
+
+def capsule(pointer, name):
+    """A new capsule of ``pointer`` under ``name``, and the name's buffer,
+    which the capsule points into and must outlive it."""
+    new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_void_p,
+                            ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+    buffer = ctypes.create_string_buffer(name.encode())
+    return new(pointer, ctypes.addressof(buffer), None), buffer
+
+
+class TestLineSweep:
+    """scipy's f2py dpttrs is the oracle for the GIL-free sweeps."""
+
+    @staticmethod
+    def check_sweep(d, e, r):
+        b = r.copy()
+        d_in, e_in = d.copy(), e.copy()
+        wls._line_sweep(d, e, b)()
+        # f2py wants e of length max(n - 1, 1)
+        expected = dpttrs(d, e if d.size > 1 else np.zeros(1), r)[0]
+        np.testing.assert_array_equal(b, expected)
+        np.testing.assert_array_equal(d, d_in)
+        np.testing.assert_array_equal(e, e_in)
+
+    @pytest.mark.parametrize("n", [1, 2, 49152])
+    def test_matches_dpttrs(self, n):
+        rng = np.random.default_rng(n)
+        d, e, info = dpttrf(rng.random(n) + 2.0,
+                            rng.random(max(n - 1, 1)) - 0.5)
+        assert info == 0
+        self.check_sweep(d, e[:n - 1], rng.standard_normal(n))
+
+    @pytest.mark.parametrize("image", ["rdot8-192x256", "1x400", "400x1", "2x150"])
+    def test_levels_match_dpttrs(self, image):
+        # every level's x-line and y-line factors, through the sweep alone
+        # and through a whole x += T^-1 (r - Ax) step in the level's layout
+        h = {
+            "rdot8-192x256": lambda: np.round(
+                synth.random_dot_pair(256, 192, 5, 1)[0] * 255) / 255,
+            "1x400": lambda: np.random.default_rng(40).random((1, 400)),
+            "400x1": lambda: np.random.default_rng(41).random((400, 1)),
+            "2x150": lambda: np.random.default_rng(42).random((2, 150)),
+        }[image]()
+        levels, _ = wls._levels(wls_system(h, WlsParams()), h.shape)
+        assert levels
+        rng = np.random.default_rng(43)
+        for level in levels:
+            a, _, _, (height, width), _, _ = level
+            r, x = rng.standard_normal((2, a.shape[0]))
+            for axis, (d, e) in enumerate(wls._line_factors(a, (height, width))):
+                self.check_sweep(d, e, r)
+                residual = r - a @ x
+                if axis:
+                    residual = residual.reshape(height, width).T.ravel()
+                solved = dpttrs(d, e, residual)[0]
+                if axis:
+                    solved = solved.reshape(width, height).T.ravel()
+                r_in, swept = r.copy(), x.copy()
+                wls._relax(level, r, swept, axis)
+                np.testing.assert_array_equal(swept, x + solved)
+                np.testing.assert_array_equal(r, r_in)
+
+    def test_vcycle_leaves_input_and_repeats(self):
+        # the levels share one sweep buffer across V-cycles: a V-cycle must
+        # not write into its input, nor depend on the one before it
+        h = np.random.default_rng(44).random((40, 52))
+        vcycle = multigrid_preconditioner(wls_system(h, WlsParams()), h.shape)
+        r, other = np.random.default_rng(45).standard_normal((2, h.size))
+        r_in = r.copy()
+        first = vcycle.matvec(r)
+        vcycle.matvec(other)
+        np.testing.assert_array_equal(vcycle.matvec(r), first)
+        np.testing.assert_array_equal(r, r_in)
+
+    def test_rejects_mismatched_arrays(self):
+        d, e = np.full(4, 2.0), np.zeros(3)
+        for args in ((d, e, np.zeros(5)), (d, np.zeros(4), np.zeros(4)),
+                     (d, e, np.zeros(4, dtype=np.float32)),
+                     (d, e, np.zeros(8)[::2])):
+            with pytest.raises(ValueError):
+                wls._line_sweep(*args)
+
+    def test_concurrent_decompositions_match_serial(self):
+        # the sweeps run without the GIL: threads must not share a buffer
+        images = [np.random.default_rng(50 + k).random((40, 56)) for k in range(8)]
+        serial = [decompose(h, WlsParams()) for h in images]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(images)) as pool:
+                threaded = list(pool.map(partial(decompose, params=WlsParams()),
+                                         images, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, expected in zip(threaded, serial):
+            for layer, expected_layer in zip(got, expected):
+                np.testing.assert_array_equal(layer, expected_layer)
+
+    def test_signature_checked(self):
+        # the argument types are matched by position: SciPy names its double
+        # by a typedef that differs between releases
+        real = cython_lapack.__pyx_capi__["dpttrs"]
+        pointer = wls._capsule_pointer(real, wls._capsule_name(real))
+        args = "int *, int *, {0} *, {0} *, {0} *, int *, int *"
+        for double in ("double", "__pyx_t_5scipy_6linalg_13cython_lapack_d"):
+            renamed, _name = capsule(pointer, f"void ({args.format(double)})")
+            dpttrs_ = wls._bind_dpttrs(renamed)
+            d, e, _ = dpttrf(np.full(3, 4.0), np.ones(2))
+            b, ints = np.arange(3.0), np.array([3, 1, 0], dtype=np.intc)
+            n, nrhs, info = (ints.ctypes.data + 4 * k for k in range(3))
+            dpttrs_(n, nrhs, d.ctypes.data, e.ctypes.data, b.ctypes.data, n, info)
+            np.testing.assert_array_equal(b, dpttrs(d, e, np.arange(3.0))[0])
+        wrong = [
+            wls._capsule_name(cython_lapack.__pyx_capi__["dpttrf"]).decode(),
+            f"void ({args.format('float')})",
+            f"int ({args.format('double')})",
+            "void (int *, int *, double *, double *, double *, int *)",
+        ]
+        for name in wrong:
+            renamed, _name = capsule(pointer, name)
+            with pytest.raises(ImportError) as err:
+                wls._bind_dpttrs(renamed)
+            assert repr(name) in str(err.value)
 
 
 class TestCg:
