@@ -16,15 +16,17 @@ Box sums take the four window corners of every pixel as plain slices of
 one array: the integral image (leading zero row and column) edge-padded
 by the radius r, whose row i is integral row clip(i - r, 0, H), columns
 alike, so windows clip to the image bounds with no index arithmetic. The
-integral is a running sum down the rows (whole rows added at a time),
-then along each row, the same additions in the same order as cumsum.
+integral is two in-place running sums (np.add.accumulate), down the
+columns and then along the rows: the same additions in the same order as
+cumsum.
 
-aggregate_cost works in place, a block of at most BLOCK_BYTES of
-disparity slices at a time: the volume is disparity-major, so each block
-is a contiguous (k, H, W) view of it, filtered with the (H, W) guide
-terms broadcast over the slices. Each slice's result is bit-identical to
-filtering it alone, and scratch memory is bounded by the block, not by
-the disparity range.
+Cost is filtered a block of at most BLOCK_BYTES of disparity slices at a
+time (filter_block): a contiguous (k, H, W) stack, filtered in place with
+the (H, W) guide terms of guide_stats broadcast over the slices. Each
+slice's result is bit-identical to filtering it alone, and scratch memory
+is bounded by the block, not by the disparity range. aggregate_cost runs
+these blocks over a whole volume; the pipeline runs them over blocks it
+never assembles into one.
 """
 
 from dataclasses import dataclass
@@ -33,8 +35,8 @@ import numpy as np
 
 from .core import validate_image
 
-# Largest block of disparity slices aggregate_cost filters at once; its
-# scratch is about three blocks: two temporaries and the padded integral.
+# Largest block of disparity slices filtered at once; its scratch is about
+# three blocks: two temporaries and the padded integral.
 BLOCK_BYTES = 2 << 20
 
 
@@ -72,10 +74,7 @@ def _box_sum(img, radius, padded=None, out=None):
     lo, side = radius + 1, 2 * radius + 1
     integral = padded[..., lo : lo + height, lo : lo + width]
     integral[...] = img
-    for i in range(1, height):
-        np.add(integral[..., i - 1, :], integral[..., i, :],
-               out=integral[..., i, :])
-    # NumPy's running sum is fast along the contiguous last axis only
+    np.add.accumulate(integral, axis=-2, out=integral)
     np.add.accumulate(integral, axis=-1, out=integral)
     padded[..., lo : lo + height, lo + width :] = integral[..., -1:]
     padded[..., lo + height :, :] = padded[..., lo + height - 1, None, :]
@@ -98,7 +97,12 @@ def box_mean(img, radius):
     return _box_sum(img, radius) / window_counts(img.shape, radius)
 
 
-def _guide_stats(guide, params):
+def block_length(shape):
+    """Disparity slices of an (H, W) image per block of BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * shape[0] * shape[1]))
+
+
+def guide_stats(guide, params):
     """Input-independent terms of the filter: window counts, the guide's
     window mean and its regularized window variance var_w + xi."""
     r = params.radius
@@ -108,10 +112,10 @@ def _guide_stats(guide, params):
     return counts, mean_w, var_w + params.xi
 
 
-def _scratch(shape, radius):
-    """Work buffers of _filter for a (k, H, W) stack: the padded integral
-    buffer and two stack-sized temporaries. Their [:n] views serve a stack
-    of n <= k slices."""
+def block_scratch(shape, radius):
+    """Work buffers of filter_block for a (k, H, W) stack: the padded
+    integral buffer and two stack-sized temporaries. Their [:n] views serve
+    a stack of n <= k slices."""
     return _padded(shape, radius), np.empty(shape), np.empty(shape)
 
 
@@ -152,18 +156,25 @@ def guided_filter(guide, input, params):
     if guide.shape != p.shape:
         raise ValueError(f"shapes differ: {guide.shape} vs {p.shape}")
     out = p[None].copy()
-    _filter(guide, out, _guide_stats(guide, params), params.radius,
-            _scratch(out.shape, params.radius))
+    _filter(guide, out, guide_stats(guide, params), params.radius,
+            block_scratch(out.shape, params.radius))
     return out[0]
 
 
+def filter_block(guide, block, stats, params, scratch):
+    """Guided-filter every slice of the (k, H, W) stack ``block`` in place
+    with the validated guide and its guide_stats; tiny negative undershoots
+    are clamped to 0. ``scratch`` is from block_scratch, of >= k slices."""
+    _filter(guide, block, stats, params.radius, [s[: len(block)] for s in scratch])
+    np.maximum(block, 0.0, out=block)
+
+
 def aggregate_cost(guide, volume, params):
-    """Guided-filter every disparity slice with the same guide; tiny
-    negative undershoots are clamped to 0.
+    """Guided-filter every disparity slice with the same guide (see
+    filter_block).
 
     Works in place: the input is consumed, and the returned volume is
-    ``volume`` itself, its data overwritten. Slices are filtered in blocks
-    of at most BLOCK_BYTES (see the module doc).
+    ``volume`` itself, its data overwritten, a block at a time.
     """
     guide = validate_image(guide)
     if guide.shape != (volume.height, volume.width):
@@ -171,12 +182,10 @@ def aggregate_cost(guide, volume, params):
             f"guide shape {guide.shape} does not match volume "
             f"({volume.height}, {volume.width})"
         )
-    r = params.radius
-    stats = _guide_stats(guide, params)
-    block = max(1, BLOCK_BYTES // volume.data[0].nbytes)
-    scratch = _scratch((min(block, volume.n_disparities),) + guide.shape, r)
+    stats = guide_stats(guide, params)
+    block = block_length(guide.shape)
+    scratch = block_scratch((min(block, volume.n_disparities),) + guide.shape,
+                            params.radius)
     for k in range(0, volume.n_disparities, block):
-        p = volume.data[k : k + block]
-        _filter(guide, p, stats, r, [s[: len(p)] for s in scratch])
-        np.maximum(p, 0.0, out=p)
+        filter_block(guide, volume.data[k : k + block], stats, params, scratch)
     return volume

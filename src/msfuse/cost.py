@@ -67,41 +67,49 @@ def census_transform(img, radius):
     return codes
 
 
-def match_cost(left, right, params):
-    """Build the fused cost volume E(j, c) for c in [d_min, d_max].
+def cost_terms(left, right, params):
+    """Per-view inputs of the fused cost, computed once and shared by every
+    disparity: (left, right, x-gradients of both, census codes of both)."""
+    left = validate_image(left)
+    right = validate_image(right)
+    if left.shape != right.shape:
+        raise ValueError(f"image shapes differ: {left.shape} vs {right.shape}")
+    return (left, right, gradient(left, "x"), gradient(right, "x"),
+            census_transform(left, params.census_radius),
+            census_transform(right, params.census_radius))
+
+
+def cost_block(terms, params, c0, out):
+    """Fused costs of disparities c0, c0 + 1, ... into the slices of the
+    (k, H, W) array ``out``; ``terms`` comes from cost_terms.
 
     E = w_ad * min(|L - R|, tau_ad)
       + w_grad * min(|dxL - dxR|, tau_grad)
       + w_cen * hamming(censusL, censusR) / code_bits
     """
-    left = validate_image(left)
-    right = validate_image(right)
-    if left.shape != right.shape:
-        raise ValueError(f"image shapes differ: {left.shape} vs {right.shape}")
-
-    height, width = left.shape
-    n_disp = params.d_max - params.d_min + 1
+    left, right, grad_l, grad_r, cen_l, cen_r = terms
+    width = left.shape[1]
     n_bits = (2 * params.census_radius + 1) ** 2 - 1
+    out[...] = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
 
-    grad_l = gradient(left, "x")
-    grad_r = gradient(right, "x")
-    cen_l = census_transform(left, params.census_radius)
-    cen_r = census_transform(right, params.census_radius)
-
-    max_cost = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
-    volume = np.full((n_disp, height, width), max_cost)
-
-    for k, c in enumerate(range(params.d_min, params.d_max + 1)):
-        if c >= width:
-            continue
+    for k, c in enumerate(range(c0, min(c0 + len(out), width))):
         # columns j >= c have an in-bounds right sample at j - c
         cols = slice(c, width)
         src = slice(0, width - c)
         ad = np.minimum(np.abs(left[:, cols] - right[:, src]), params.tau_ad)
         gr = np.minimum(np.abs(grad_l[:, cols] - grad_r[:, src]), params.tau_grad)
         ham = np.bitwise_count(cen_l[:, cols] ^ cen_r[:, src]).astype(np.float64)
-        volume[k, :, cols] = (
+        out[k, :, cols] = (
             params.w_ad * ad + params.w_grad * gr + params.w_cen * ham / n_bits
         )
+    return out
 
+
+def match_cost(left, right, params):
+    """Build the fused cost volume E(j, c) for c in [d_min, d_max] (see
+    cost_block)."""
+    terms = cost_terms(left, right, params)
+    n_disp = params.d_max - params.d_min + 1
+    volume = cost_block(terms, params, params.d_min,
+                        np.empty((n_disp,) + terms[0].shape))
     return CostVolume(d_min=params.d_min, d_max=params.d_max, data=volume)

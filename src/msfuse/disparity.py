@@ -19,20 +19,67 @@ class DisparityParams:
             raise ValueError("lr_threshold must be > 0")
 
 
+class RunningWinner:
+    """Winner-take-all over disparity slices folded in increasing order, a
+    block at a time, with the costs c-, c0 and c+ at and around the winner
+    that subpixel refinement reads; no volume is needed.
+
+    A slice wins only where it is strictly below the minimum so far, so
+    ties keep the smaller disparity, and the winner's costs are copied as
+    it wins (c+ at the next slice), so the result equals wta and
+    subpixel_refine on the whole volume, bit for bit.
+    """
+
+    def __init__(self, shape):
+        self.n = 0  # slices folded so far
+        self.winners = np.zeros(shape, dtype=np.intp)
+        self.c_zero = np.full(shape, np.inf)
+        self.c_minus = np.zeros(shape)
+        self.c_plus = np.zeros(shape)
+        self._last = None  # the previous slice, and where it won
+        self._won = np.zeros(shape, dtype=bool)
+
+    def fold(self, block):
+        """Fold the (k, H, W) slices n, n + 1, ... of the cost volume."""
+        for costs in block:
+            np.copyto(self.c_plus, costs, where=self._won)
+            won = costs < self.c_zero
+            np.copyto(self.winners, self.n, where=won)
+            np.copyto(self.c_zero, costs, where=won)
+            if self._last is not None:
+                np.copyto(self.c_minus, self._last, where=won)
+            self._last, self._won = costs, won
+            self.n += 1
+        self._last = self._last.copy()  # the caller may reuse the block
+
+    def disparity(self, d_min, subpixel):
+        """The winning disparities, parabola-refined if ``subpixel``."""
+        d = (d_min + self.winners).astype(np.float64)
+        if not subpixel:
+            return d
+        return _parabola(d, self.winners, self.n, self.c_minus, self.c_zero,
+                         self.c_plus)
+
+
 def wta(volume):
     """Per-pixel argmin over disparities; ties go to the smallest c.
 
-    A running minimum over the (H, W) slices: np.argmin along the leading
-    axis would first copy the whole volume. A slice wins only where it is
-    strictly below the minimum so far, so ties keep the smaller disparity.
+    A running minimum over the (H, W) slices (RunningWinner): np.argmin
+    along the leading axis would first copy the whole volume.
     """
-    data = volume.data
-    best = data[0].copy()
-    winners = np.zeros(best.shape, dtype=np.intp)
-    for k in range(1, data.shape[0]):
-        np.copyto(winners, k, where=data[k] < best)
-        np.minimum(best, data[k], out=best)
-    return (volume.d_min + winners).astype(np.float64)
+    winner = RunningWinner(volume.data.shape[1:])
+    winner.fold(volume.data)
+    return winner.disparity(volume.d_min, subpixel=False)
+
+
+def _parabola(d, k, n_disp, c_minus, c_zero, c_plus):
+    """d moved to the vertex of the parabola through the costs at slices
+    k - 1, k and k + 1 (see subpixel_refine)."""
+    interior = (k > 0) & (k < n_disp - 1)
+    denom = 2.0 * (c_minus - 2.0 * c_zero + c_plus)
+    flat = ~interior | (np.abs(denom) <= 1e-12)
+    offset = np.clip((c_minus - c_plus) / np.where(flat, 1.0, denom), -0.5, 0.5)
+    return np.where(flat, d, d + offset)
 
 
 def subpixel_refine(volume, d):
@@ -43,23 +90,10 @@ def subpixel_refine(volume, d):
     """
     d = np.asarray(d, dtype=np.float64)
     k = np.rint(d).astype(np.intp) - volume.d_min
-    interior = (k > 0) & (k < volume.n_disparities - 1)
-    if not interior.any():
-        return d.copy()
-
-    iy, ix = np.nonzero(interior)
-    kk = k[iy, ix]
-    c_minus = volume.data[kk - 1, iy, ix]
-    c_zero = volume.data[kk, iy, ix]
-    c_plus = volume.data[kk + 1, iy, ix]
-
-    denom = 2.0 * (c_minus - 2.0 * c_zero + c_plus)
-    degenerate = np.abs(denom) <= 1e-12
-    safe = np.where(degenerate, 1.0, denom)
-    offset = np.where(degenerate, 0.0, np.clip((c_minus - c_plus) / safe, -0.5, 0.5))
-    out = d.copy()
-    out[iy, ix] = d[iy, ix] + offset
-    return out
+    n = volume.n_disparities
+    costs = lambda i: np.take_along_axis(
+        volume.data, np.clip(i, 0, n - 1)[None], axis=0)[0]
+    return _parabola(d, k, n, costs(k - 1), costs(k), costs(k + 1))
 
 
 def lr_consistency(d_left, d_right, threshold):

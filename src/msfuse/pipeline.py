@@ -1,21 +1,32 @@
 """End-to-end orchestration of the multi-scale matching pipeline.
 
 Each view is decomposed once into a 4-level WLS base-layer stack. A view
-pass computes, per scale, the fused matching cost and its guided-filter
-aggregation, and sums the scales into the finest fused volume
-sum_s w_s * agg_s (w = fusion.finest_weights), on which winner-take-all
-picks the disparity. The right-view disparity for the consistency check
-runs the same pass on the horizontally mirrored pyramids with the camera
-roles swapped: the WLS filter commutes with mirroring, so these equal the
-pyramids of the mirrored images up to solver roundoff.
+pass picks, per pixel, the disparity of least finest fused cost
+sum_s w_s * agg_s (w = fusion.finest_weights), agg_s being the
+guided-filter aggregation of scale s's fused matching cost. The
+right-view disparity for the consistency check runs the same pass on the
+horizontally mirrored pyramids with the camera roles swapped: the WLS
+filter commutes with mirroring, so these equal the pyramids of the
+mirrored images up to solver roundoff.
+
+A view pass streams over disparity blocks of at most
+aggregate.BLOCK_BYTES and never holds a (D, H, W) volume. Each scale's
+inputs (x-gradients, census codes, guide statistics) are computed once.
+For each block, scale by scale in order, the raw cost block is computed,
+guided-filtered in place, clamped, weighted and added into the block's
+total: the same float operations, in the same order, as on whole
+volumes. The totals fold into a running winner (disparity.RunningWinner)
+in increasing disparity, so the result equals winner-take-all and
+subpixel refinement of the whole fused volume, bit for bit.
 
 One thread pool (MSFUSE_THREADS, 0 = auto) runs both decompositions,
-then the four per-scale branches of each view pass. The WLS solve takes
-no inner product from BLAS and makes its LAPACK line sweeps without the
-GIL, so the two decompositions run in parallel, and each one's result
-does not depend on the threads. Each branch adds its weighted
-volume into the sum as it finishes, in scale order, so the output is
-identical for every thread count.
+then the blocks of both view passes, with no barrier between the passes.
+The WLS solve takes no inner product from BLAS and makes its LAPACK line
+sweeps without the GIL, so the two decompositions run in parallel, and
+each one's result does not depend on the threads. A block task waits for
+the previous block's fold before folding its own, so the output is
+identical for every thread count, and at most one block total per
+worker is resident.
 """
 
 import os
@@ -29,7 +40,7 @@ from .core import INVALID_DISPARITY, CostVolume
 
 
 def thread_count():
-    """Branch parallelism from MSFUSE_THREADS (0 or unset = auto)."""
+    """Pool size from MSFUSE_THREADS (0 or unset = auto)."""
     raw = os.environ.get("MSFUSE_THREADS", "0")
     try:
         n = int(raw)
@@ -51,47 +62,94 @@ class ScaleOutputs:
     agg_min: list  # 4 left-view aggregated costs, minimum over disparity
 
 
+def _scale_inputs(ref, other, config):
+    """What every disparity block of one scale reads: the cost terms (the
+    first is the validated guide) and the guide statistics."""
+    terms = cost.cost_terms(ref, other, config.cost_params())
+    return terms, aggregate.guide_stats(terms[0], config.guided_filter_params())
+
+
+def _fused_block(inputs, config, weights, c0, shape, collect):
+    """sum_s w_s * agg_s of the (n, H, W) block of disparities from c0, and
+    the per-scale minima of agg_s over the block if ``collect``.
+
+    Per scale, in scale order: the raw cost block, filtered in place,
+    weighted and added into the total, so every cell gets the additions
+    of the whole-volume form in its order."""
+    cost_params = config.cost_params()
+    gf_params = config.guided_filter_params()
+    d_max = c0 + shape[0] - 1
+    total, block = np.empty(shape), np.empty(shape)
+    scratch = aggregate.block_scratch(shape, gf_params.radius)
+    minima = []
+    for s, scale in enumerate(inputs):
+        terms, stats = scale.result()
+        cost.cost_block(terms, cost_params, c0, block)
+        CostVolume(d_min=c0, d_max=d_max, data=block)  # checks the costs
+        aggregate.filter_block(terms[0], block, stats, gf_params, scratch)
+        if collect:
+            minima.append(block.min(axis=0))
+        if s == 0:
+            np.multiply(block, weights[0], out=total)
+        else:
+            block *= weights[s]
+            total += block
+    CostVolume(d_min=c0, d_max=d_max, data=total)
+    return total, minima
+
+
+def _view_pass(pool, pyr_ref, pyr_other, config, collect):
+    """Queue one view pass on the pool: the per-scale inputs, then one task
+    per disparity block. Returns a function that waits for the pass and
+    returns (disparity, per-scale aggregated-cost minima | None).
+
+    Each block task folds its total into the running winner once the
+    previous block has, so blocks fold in disparity order whatever the
+    thread count. The inputs live as long as the tasks that read them.
+    """
+    cost_params = config.cost_params()
+    weights = fusion.finest_weights(config.fusion_params())
+    inputs = [pool.submit(_scale_inputs, ref, other, config)
+              for ref, other in zip(pyr_ref, pyr_other)]
+    winner = disparity.RunningWinner(pyr_ref[0].shape)
+    minima = [np.full(pyr_ref[0].shape, np.inf) for _ in pyr_ref] if collect else []
+
+    def block_task(c0, shape, previous):
+        total, block_minima = _fused_block(inputs, config, weights, c0, shape, collect)
+        if previous is not None:
+            previous.result()  # started before this task: running or done
+        winner.fold(total)
+        for running, m in zip(minima, block_minima):
+            np.minimum(running, m, out=running)
+
+    shape = pyr_ref[0].shape
+    step = aggregate.block_length(shape)
+    last = None
+    for c0 in range(cost_params.d_min, cost_params.d_max + 1, step):
+        n = min(step, cost_params.d_max + 1 - c0)
+        last = pool.submit(block_task, c0, (n,) + shape, last)
+
+    def finish():
+        last.result()
+        d = winner.disparity(cost_params.d_min, config.disparity_params().subpixel)
+        return d, minima if collect else None
+
+    return finish
+
+
 def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
     """Disparity of the reference view before any consistency filtering.
 
     Returns (disparity, per-scale aggregated-cost minima | None).
     """
-    cost_params = config.cost_params()
-    gf_params = config.guided_filter_params()
-    weights = fusion.finest_weights(config.fusion_params())
-
-    # returns the weighted sum of scales 0..s; previous is the future of
-    # scale s - 1
-    def branch(s, previous):
-        raw = cost.match_cost(pyr_ref[s], pyr_other[s], cost_params)
-        agg = aggregate.aggregate_cost(pyr_ref[s], raw, gf_params).data
-        agg_min = agg.min(axis=0) if collect else None
-        agg *= weights[s]  # in place: one volume fewer per running branch
-        if previous is not None:
-            # the pool starts tasks in submission order, so scale s - 1 is
-            # running or done. Summing here, not as results come back,
-            # frees this volume before its worker starts another branch.
-            total = previous.result()[0]
-            agg = np.add(total, agg, out=total)  # in place, in scale order
-        return agg, agg_min
-
-    futures = [None]
-    for s in range(4):
-        futures.append(pool.submit(branch, s, futures[-1]))
-    total, agg_min = zip(*(f.result() for f in futures[1:]))
-    volume = CostVolume(d_min=cost_params.d_min, d_max=cost_params.d_max,
-                        data=total[-1])
-    d = disparity.wta(volume)
-    if config.disparity_params().subpixel:
-        d = disparity.subpixel_refine(volume, d)
-    return d, list(agg_min) if collect else None
+    return _view_pass(pool, pyr_ref, pyr_other, config, collect)()
 
 
 def run(left, right, config, collect=False):
     """Full pipeline: both decompositions, left disparity, mirrored right
     disparity, left-right consistency and invalid fill. MSFUSE_THREADS
-    sizes the pool that runs the decompositions and the branches (see
-    thread_count).
+    sizes the pool that runs the decompositions and the disparity blocks
+    of both view passes (see thread_count).
 
     Returns (disparity_map, validity_mask, ScaleOutputs | None).
     """
@@ -102,10 +160,10 @@ def run(left, right, config, collect=False):
         pyramids = [pool.submit(wls.decompose, image, config.wls_params())
                     for image in (left, right)]
         pyr_l, pyr_r = (f.result() for f in pyramids)
-        d_left, agg_min = view_disparity(pool, pyr_l, pyr_r, config, collect)
-        d_right_mirrored, _ = view_disparity(
-            pool, mirrored(pyr_r), mirrored(pyr_l), config
-        )
+        # both passes are queued before either is awaited: no barrier
+        passes = [_view_pass(pool, pyr_l, pyr_r, config, collect),
+                  _view_pass(pool, mirrored(pyr_r), mirrored(pyr_l), config, False)]
+        (d_left, agg_min), (d_right_mirrored, _) = (finish() for finish in passes)
     d_right = np.fliplr(d_right_mirrored)
 
     d = disparity.lr_consistency(d_left, d_right, disp_params.lr_threshold)

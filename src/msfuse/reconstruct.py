@@ -87,10 +87,16 @@ def _fmt(v):
 def _fmt_column(values):
     """``_fmt`` of every value. numpy's str of a float32 has the same
     shortest round-trip digits: positional with a trailing ".0" on whole
-    numbers, or scientific for tiny and huge values, which go to ``_fmt``."""
+    numbers, or scientific for tiny and huge values, which go to ``_fmt``.
+
+    Each distinct bit pattern is formatted once (an 8-bit intensity column
+    has at most 256); the floats themselves would merge -0.0 with 0.0."""
     values = np.asarray(values, dtype=np.float32)
-    return [_fmt(v) if "e" in text else text.removesuffix(".0")
-            for v, text in zip(values.tolist(), values.astype(str).tolist())]
+    bits, inverse = np.unique(values.view(np.uint32), return_inverse=True)
+    distinct = bits.view(np.float32)
+    texts = [_fmt(v) if "e" in text else text.removesuffix(".0")
+             for v, text in zip(distinct.tolist(), distinct.astype(str).tolist())]
+    return [texts[i] for i in inverse.tolist()]
 
 
 def export_ply(cloud, path):

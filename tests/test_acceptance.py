@@ -261,7 +261,7 @@ def test_c9_determinism(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("cost.d_max = 8\ngf.radius = 2\n")
     outputs = {}
-    for threads in ("1", "8"):
+    for threads in ("1", "2", "8"):
         monkeypatch.setenv("MSFUSE_THREADS", threads)
         sub = tmp_path / f"t{threads}"
         sub.mkdir()
@@ -282,4 +282,4 @@ def test_c9_determinism(tmp_path, monkeypatch):
             (sub / "d.pfm").read_bytes(),
             (sub / "c.ply").read_bytes(),
         )
-    report("C9 thread-count determinism", outputs["1"] == outputs["8"])
+    report("C9 thread-count determinism", outputs["1"] == outputs["2"] == outputs["8"])

@@ -6,6 +6,7 @@ from msfuse.core import INVALID_DISPARITY, CostVolume
 from msfuse.cost import CostParams, match_cost
 from msfuse.disparity import (
     DisparityParams,
+    RunningWinner,
     fill_invalid,
     lr_consistency,
     subpixel_refine,
@@ -96,6 +97,43 @@ class TestSubpixel:
         d1 = subpixel_refine(vol, d0)
         assert np.abs(d1 - d0).max() <= 0.5
         assert (d1 >= -0.5).all() and (d1 <= 8.5).all()
+
+
+def refine_oracle(data, d_min):
+    """First argmin per pixel, moved by the clamped parabola vertex through
+    its neighbours; one pixel at a time."""
+    n_disp = data.shape[0]
+    k = np.argmin(data, axis=0)
+    out = (d_min + k).astype(np.float64)
+    for y, x in np.ndindex(k.shape):
+        c = k[y, x]
+        if 0 < c < n_disp - 1:
+            c_minus, c_zero, c_plus = data[c - 1 : c + 2, y, x]
+            denom = 2.0 * (c_minus - 2.0 * c_zero + c_plus)
+            if abs(denom) > 1e-12:
+                out[y, x] += min(max((c_minus - c_plus) / denom, -0.5), 0.5)
+    return out
+
+
+class TestRunningWinner:
+    @pytest.mark.parametrize("sizes", [[1], [2, 1], [3, 1, 2], [17]])
+    def test_blocks_equal_whole_volume(self, sizes):
+        # coarse costs tie often; block sizes cycle through ``sizes``, so
+        # winners fall on the first and last slices of blocks
+        rng = np.random.default_rng(len(sizes))
+        data = rng.integers(0, 5, (17, 9, 11)) / 4.0
+        data[:, 0, 0] = 1.0  # a flat pixel
+        winner = RunningWinner(data.shape[1:])
+        k, blocks = 0, 0
+        while k < len(data):
+            n = sizes[blocks % len(sizes)]
+            winner.fold(data[k : k + n].copy())
+            k, blocks = k + n, blocks + 1
+        vol = volume_from(data, d_min=2)
+        assert winner.disparity(2, subpixel=False).tobytes() == wta(vol).tobytes()
+        refined = winner.disparity(2, subpixel=True)
+        assert refined.tobytes() == subpixel_refine(vol, wta(vol)).tobytes()
+        assert refined.tobytes() == refine_oracle(data, 2).tobytes()
 
 
 class TestLrConsistency:

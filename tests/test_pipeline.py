@@ -1,11 +1,115 @@
+import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
-from msfuse import pipeline, wls
+import numpy as np
+import pytest
+
+from msfuse import aggregate, disparity, fusion, pipeline, wls
+from msfuse.aggregate import aggregate_cost
+from msfuse.cli import main
 from msfuse.config import PipelineConfig
+from msfuse.core import INVALID_DISPARITY, CostVolume, load_image, save_image
+from msfuse.cost import match_cost
 from msfuse.synth import random_dot_pair
+
+STREAM_CONFIG = {"cost.d_max": 16, "gf.radius": 2}  # D = 17
+
+
+def reference_view(pyr_ref, pyr_other, config):
+    """One view pass on whole volumes: the per-scale aggregated volumes,
+    summed with the finest fusion weights in scale order, then WTA and
+    subpixel refinement. Returns (disparity, per-scale minima)."""
+    weights = fusion.finest_weights(config.fusion_params())
+    total, minima = None, []
+    for s in range(4):
+        raw = match_cost(pyr_ref[s], pyr_other[s], config.cost_params())
+        agg = aggregate_cost(pyr_ref[s], raw, config.guided_filter_params()).data
+        minima.append(agg.min(axis=0))
+        agg *= weights[s]
+        total = agg if total is None else np.add(total, agg, out=total)
+    volume = CostVolume(d_min=raw.d_min, d_max=raw.d_max, data=total)
+    return disparity.subpixel_refine(volume, disparity.wta(volume)), minima
+
+
+def reference_run(left, right, config):
+    """pipeline.run assembled from the whole-volume stages: (d, valid,
+    left-view per-scale minima)."""
+    pyr_l = wls.decompose(left, config.wls_params())
+    pyr_r = wls.decompose(right, config.wls_params())
+    d_left, minima = reference_view(pyr_l, pyr_r, config)
+    flip = lambda pyr: [np.fliplr(x) for x in pyr]
+    d_right = np.fliplr(reference_view(flip(pyr_r), flip(pyr_l), config)[0])
+    params = config.disparity_params()
+    d = disparity.lr_consistency(d_left, d_right, params.lr_threshold)
+    valid = d != INVALID_DISPARITY
+    return disparity.fill_invalid(d), valid, minima
+
+
+@pytest.fixture(scope="module")
+def stream_case():
+    left, right, _ = random_dot_pair(48, 32, 5, 4)
+    config = PipelineConfig(STREAM_CONFIG)
+    return left, right, config, reference_run(left, right, config)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+@pytest.mark.parametrize("block_slices", [1, 3])
+def test_run_equals_whole_volume_reference(stream_case, monkeypatch, threads,
+                                           block_slices):
+    # 17 blocks of one slice, or 3-slice blocks with a ragged last block;
+    # frequent thread switches so that blocks finish out of order
+    left, right, config, (d_ref, valid_ref, minima_ref) = stream_case
+    monkeypatch.setattr(aggregate, "BLOCK_BYTES", block_slices * left.nbytes)
+    monkeypatch.setenv("MSFUSE_THREADS", threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        d, valid, extras = pipeline.run(left, right, config, collect=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert d.tobytes() == d_ref.tobytes()
+    np.testing.assert_array_equal(valid, valid_ref)
+    for got, expected in zip(extras.agg_min, minima_ref):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_dumped_minima_equal_reference(tmp_path):
+    left, right, _ = random_dot_pair(48, 32, 5, 4)
+    for name, img in (("left", left), ("right", right)):
+        save_image(img, tmp_path / f"{name}.pgm", format="pgm8")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in STREAM_CONFIG.items()))
+    dump = tmp_path / "dump"
+    assert main(["reconstruct", str(tmp_path / "left.pgm"), str(tmp_path / "right.pgm"),
+                 "--config", str(cfg), "--out-disparity", str(tmp_path / "d.pfm"),
+                 "--out-cloud", str(tmp_path / "c.ply"), "--dump-dir", str(dump)]) == 0
+    _, _, minima = reference_run(load_image(tmp_path / "left.pgm"),
+                                 load_image(tmp_path / "right.pgm"),
+                                 PipelineConfig(STREAM_CONFIG))
+    for s in range(4):
+        save_image(minima[s], tmp_path / "expected.pfm", format="pfm")
+        assert ((dump / f"agg_min_{s}.pfm").read_bytes()
+                == (tmp_path / "expected.pfm").read_bytes())
+
+
+def view_pass_peak(n_disp):
+    """tracemalloc peak of one view pass at 160x120 on a one-worker pool."""
+    left, right, _ = random_dot_pair(160, 120, 5, 0)
+    config = PipelineConfig({"cost.d_max": n_disp - 1})
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tracemalloc.start()
+        try:
+            pipeline.view_disparity(pool, [left] * 4, [right] * 4, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_view_pass_memory_independent_of_disparity_range():
+    assert abs(view_pass_peak(192) - view_pass_peak(96)) < aggregate.BLOCK_BYTES
 
 
 def test_branches_summed_as_they_finish():

@@ -147,6 +147,16 @@ class TestExportPly:
     def test_column_format_matches_scalar(self, values):
         assert _fmt_column(values) == [_fmt(v) for v in values]
 
+    @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=6),
+           st.lists(st.integers(0, 7), max_size=40))
+    def test_column_format_with_repeats_and_signed_zeros(self, pool, picks):
+        # values are formatted once per distinct bit pattern: repeats get
+        # the same text, and -0.0 keeps its sign apart from 0.0
+        pool = np.array(pool + [0.0, -0.0], dtype=F32)
+        values = pool[np.array(picks, dtype=np.intp) % len(pool)]
+        assert _fmt_column(values) == [_fmt(v) for v in values]
+
     def test_column_format_boundaries(self):
         values = np.array(BOUNDARY_VALUES, dtype=F32)
         assert _fmt_column(values) == [_fmt(v) for v in values]
