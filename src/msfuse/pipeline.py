@@ -109,20 +109,21 @@ def _view_pass(pool, pyr_ref, pyr_other, config, collect):
     """
     cost_params = config.cost_params()
     weights = fusion.finest_weights(config.fusion_params())
+    shape = pyr_ref[0].shape
     inputs = [pool.submit(_scale_inputs, ref, other, config)
               for ref, other in zip(pyr_ref, pyr_other)]
-    winner = disparity.RunningWinner(pyr_ref[0].shape)
-    minima = [np.full(pyr_ref[0].shape, np.inf) for _ in pyr_ref] if collect else []
+    winner = disparity.RunningWinner(shape)
+    minima = [np.full(shape, np.inf) for _ in pyr_ref] if collect else []
 
-    def block_task(c0, shape, previous):
-        total, block_minima = _fused_block(inputs, config, weights, c0, shape, collect)
+    def block_task(c0, block_shape, previous):
+        total, block_minima = _fused_block(inputs, config, weights, c0,
+                                           block_shape, collect)
         if previous is not None:
             previous.result()  # started before this task: running or done
         winner.fold(total)
         for running, m in zip(minima, block_minima):
             np.minimum(running, m, out=running)
 
-    shape = pyr_ref[0].shape
     step = aggregate.block_length(shape)
     last = None
     for c0 in range(cost_params.d_min, cost_params.d_max + 1, step):
