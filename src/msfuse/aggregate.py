@@ -21,12 +21,15 @@ columns and then along the rows: the same additions in the same order as
 cumsum.
 
 Cost is filtered a block of at most BLOCK_BYTES of disparity slices at a
-time (filter_block): a contiguous (k, H, W) stack, filtered in place with
-the (H, W) guide terms of guide_stats broadcast over the slices. Each
-slice's result is bit-identical to filtering it alone, and scratch memory
-is bounded by the block, not by the disparity range. aggregate_cost runs
-these blocks over a whole volume; the pipeline runs them over blocks it
-never assembles into one.
+time (filter_block): a (k, H, W) stack that lies in the interior of the
+padded integral buffer itself (scratch_block), so its first box sum
+integrates it where it lies, filtered in place with the (H, W) guide
+terms of guide_stats broadcast over the slices. Each slice's result is
+bit-identical to filtering it alone, and the scratch is three buffers of
+about one block each, bounded by the block, not by the disparity range:
+the padded buffer and two temporaries. aggregate_cost copies the blocks
+of a whole volume through the scratch; the pipeline writes each raw cost
+block into the scratch and never assembles a volume.
 """
 
 from dataclasses import dataclass
@@ -36,7 +39,8 @@ import numpy as np
 from .core import validate_image
 
 # Largest block of disparity slices filtered at once; its scratch is about
-# three blocks: two temporaries and the padded integral.
+# three blocks: the padded integral, which holds the block, and two
+# temporaries.
 BLOCK_BYTES = 2 << 20
 
 
@@ -60,20 +64,19 @@ def _padded(shape, radius):
     return np.zeros(tuple(shape[:-2]) + (shape[-2] + side, shape[-1] + side))
 
 
-def _box_sum(img, radius, padded=None, out=None):
-    """Windowed sum over the window clipped to image bounds, of an image or
-    of every slice of a (k, H, W) stack: four slices of the edge-padded
-    integral image (O(1) per pixel; see the module doc).
+def _interior(padded, radius):
+    """The (..., H, W) view of a _padded buffer that holds the array to be
+    box-summed, and then its integral."""
+    lo = radius + 1
+    return padded[..., lo : padded.shape[-2] - radius, lo : padded.shape[-1] - radius]
 
-    The integral is built in ``padded`` (from _padded; reusable, as its top
-    and left borders are never written). ``out`` may be ``img`` itself.
-    """
-    height, width = img.shape[-2:]
-    if padded is None:
-        padded = _padded(img.shape, radius)
+
+def _integrated_box_sum(padded, radius, out=None):
+    """Windowed sums of the array held in the interior of ``padded``, which
+    is overwritten by its integral; ``out`` must not overlap ``padded``."""
     lo, side = radius + 1, 2 * radius + 1
-    integral = padded[..., lo : lo + height, lo : lo + width]
-    integral[...] = img
+    height, width = padded.shape[-2] - side, padded.shape[-1] - side
+    integral = _interior(padded, radius)
     np.add.accumulate(integral, axis=-2, out=integral)
     np.add.accumulate(integral, axis=-1, out=integral)
     padded[..., lo : lo + height, lo + width :] = integral[..., -1:]
@@ -84,6 +87,20 @@ def _box_sum(img, radius, padded=None, out=None):
     out -= padded[..., side:, :width]
     out += padded[..., :height, :width]
     return out
+
+
+def _box_sum(img, radius, padded=None, out=None):
+    """Windowed sum over the window clipped to image bounds, of an image or
+    of every slice of a (k, H, W) stack: four slices of the edge-padded
+    integral image (O(1) per pixel; see the module doc).
+
+    The integral is built in ``padded`` (from _padded; reusable, as its top
+    and left borders are never written). ``out`` may be ``img`` itself.
+    """
+    if padded is None:
+        padded = _padded(img.shape, radius)
+    _interior(padded, radius)[...] = img
+    return _integrated_box_sum(padded, radius, out)
 
 
 def window_counts(shape, radius):
@@ -102,11 +119,25 @@ def block_length(shape):
     return max(1, BLOCK_BYTES // (8 * shape[0] * shape[1]))
 
 
-def guide_stats(guide, params):
-    """Input-independent terms of the filter: window counts, the guide's
-    window mean and its regularized window variance var_w + xi."""
+def blocks(n, length):
+    """(start, stop) of ceil(n / length) consecutive blocks that tile
+    range(n), the longer ones first, whose lengths differ by at most one."""
+    count = -(-n // length)
+    size, longer = divmod(n, count)
+    start = 0
+    for i in range(count):
+        stop = start + size + (i < longer)
+        yield start, stop
+        start = stop
+
+
+def guide_stats(guide, params, counts=None):
+    """Input-independent terms of the filter: window counts (computed
+    unless given), the guide's window mean and its regularized window
+    variance var_w + xi."""
     r = params.radius
-    counts = window_counts(guide.shape, r)
+    if counts is None:
+        counts = window_counts(guide.shape, r)
     mean_w = _box_sum(guide, r) / counts
     var_w = _box_sum(guide * guide, r) / counts - mean_w * mean_w
     return counts, mean_w, var_w + params.xi
@@ -114,26 +145,36 @@ def guide_stats(guide, params):
 
 def block_scratch(shape, radius):
     """Work buffers of filter_block for a (k, H, W) stack: the padded
-    integral buffer and two stack-sized temporaries. Their [:n] views serve
-    a stack of n <= k slices."""
+    integral buffer, whose interior holds the stack (scratch_block), and two
+    stack-sized temporaries. Their [:n] views serve a stack of n <= k
+    slices."""
     return _padded(shape, radius), np.empty(shape), np.empty(shape)
 
 
-def _filter(guide, p, stats, radius, scratch):
-    """Per-window linear fit a_l*W + b_l of every slice of the (k, H, W)
-    stack p, coefficients averaged over the windows covering each pixel;
-    the result overwrites p.
+def scratch_block(scratch, radius):
+    """The (k, H, W) stack that filter_block filters in place: the interior
+    of the scratch's padded buffer."""
+    return _interior(scratch[0], radius)
 
-    The (H, W) guide and stats broadcast over the slices. p is read by
-    box(p) and W*p, then holds mean_w*mean_p and a*mean_w, then the
-    result. Every elementwise operation is the one of the textbook form,
-    in its order, so each slice is filtered as if it were alone.
+
+def _filter(guide, scratch, stats, radius):
+    """Per-window linear fit a_l*W + b_l of every slice of the (k, H, W)
+    stack p = scratch_block(scratch), coefficients averaged over the
+    windows covering each pixel; the result overwrites p and is returned.
+
+    The (H, W) guide and stats broadcast over the slices. W*p is taken
+    first, then p is integrated where it lies for box(p); later box sums
+    copy their input into the interior. The interior then holds
+    mean_w*mean_p and a*mean_w, then the result. Every elementwise
+    operation is the one of the textbook form, in its order, so each slice
+    is filtered as if it were alone.
     """
     counts, mean_w, var_w_xi = stats
     padded, mean_p, tmp = scratch
-    _box_sum(p, radius, padded, mean_p)
-    mean_p /= counts
+    p = _interior(padded, radius)
     np.multiply(guide, p, out=tmp)
+    _integrated_box_sum(padded, radius, mean_p)
+    mean_p /= counts
     _box_sum(tmp, radius, padded, tmp)
     tmp /= counts
     np.multiply(mean_w, mean_p, out=p)
@@ -147,6 +188,7 @@ def _filter(guide, p, stats, radius, scratch):
     _box_sum(mean_p, radius, padded, mean_p)
     mean_p /= counts
     np.add(tmp, mean_p, out=p)
+    return p
 
 
 def guided_filter(guide, input, params):
@@ -155,18 +197,18 @@ def guided_filter(guide, input, params):
     p = validate_image(input)
     if guide.shape != p.shape:
         raise ValueError(f"shapes differ: {guide.shape} vs {p.shape}")
-    out = p[None].copy()
-    _filter(guide, out, guide_stats(guide, params), params.radius,
-            block_scratch(out.shape, params.radius))
-    return out[0]
+    scratch = block_scratch((1,) + p.shape, params.radius)
+    scratch_block(scratch, params.radius)[0] = p
+    return _filter(guide, scratch, guide_stats(guide, params), params.radius)[0].copy()
 
 
-def filter_block(guide, block, stats, params, scratch):
-    """Guided-filter every slice of the (k, H, W) stack ``block`` in place
-    with the validated guide and its guide_stats; tiny negative undershoots
-    are clamped to 0. ``scratch`` is from block_scratch, of >= k slices."""
-    _filter(guide, block, stats, params.radius, [s[: len(block)] for s in scratch])
-    np.maximum(block, 0.0, out=block)
+def filter_block(guide, stats, params, scratch):
+    """Guided-filter every slice of the (k, H, W) stack scratch_block(scratch)
+    in place with the validated guide and its guide_stats; tiny negative
+    undershoots are clamped to 0. ``scratch`` is from block_scratch.
+    Returns the stack."""
+    block = _filter(guide, scratch, stats, params.radius)
+    return np.maximum(block, 0.0, out=block)
 
 
 def aggregate_cost(guide, volume, params):
@@ -183,9 +225,10 @@ def aggregate_cost(guide, volume, params):
             f"({volume.height}, {volume.width})"
         )
     stats = guide_stats(guide, params)
-    block = block_length(guide.shape)
-    scratch = block_scratch((min(block, volume.n_disparities),) + guide.shape,
-                            params.radius)
-    for k in range(0, volume.n_disparities, block):
-        filter_block(guide, volume.data[k : k + block], stats, params, scratch)
+    plan = list(blocks(volume.n_disparities, block_length(guide.shape)))
+    scratch = block_scratch((plan[0][1],) + guide.shape, params.radius)
+    for start, stop in plan:
+        part = [s[: stop - start] for s in scratch]
+        scratch_block(part, params.radius)[...] = volume.data[start:stop]
+        volume.data[start:stop] = filter_block(guide, stats, params, part)
     return volume

@@ -45,6 +45,10 @@ def census_transform(img, radius):
     Out-of-bounds neighbors are NaN padding, which compares False, so their
     bit is 0 as if they took the center value.
     Codes fit in uint64 for radius <= 3.
+
+    The codes of np.fliplr(img) are np.fliplr of these codes with the bits
+    of neighbors (dy, dx) and (dy, -dx) swapped; the same swap in two codes
+    keeps their Hamming distance.
     """
     img = validate_image(img)
     if radius < 1:
@@ -67,16 +71,22 @@ def census_transform(img, radius):
     return codes
 
 
-def cost_terms(left, right, params):
+def cost_terms(left, right, params, codes=None):
     """Per-view inputs of the fused cost, computed once and shared by every
-    disparity: (left, right, x-gradients of both, census codes of both)."""
+    disparity: (left, right, x-gradients of both, census codes of both).
+
+    ``codes``, if given, stand for the census codes of left and right: any
+    pair with the same Hamming distances, such as the mirrored codes of the
+    mirrored images (see census_transform).
+    """
     left = validate_image(left)
     right = validate_image(right)
     if left.shape != right.shape:
         raise ValueError(f"image shapes differ: {left.shape} vs {right.shape}")
-    return (left, right, gradient(left, "x"), gradient(right, "x"),
-            census_transform(left, params.census_radius),
-            census_transform(right, params.census_radius))
+    if codes is None:
+        codes = (census_transform(left, params.census_radius),
+                 census_transform(right, params.census_radius))
+    return (left, right, gradient(left, "x"), gradient(right, "x"), *codes)
 
 
 def cost_block(terms, params, c0, out):

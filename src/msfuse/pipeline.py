@@ -10,14 +10,21 @@ filter commutes with mirroring, so these equal the pyramids of the
 mirrored images up to solver roundoff.
 
 A view pass streams over disparity blocks of at most
-aggregate.BLOCK_BYTES and never holds a (D, H, W) volume. Each scale's
-inputs (x-gradients, census codes, guide statistics) are computed once.
-For each block, scale by scale in order, the raw cost block is computed,
-guided-filtered in place, clamped, weighted and added into the block's
-total: the same float operations, in the same order, as on whole
-volumes. The totals fold into a running winner (disparity.RunningWinner)
-in increasing disparity, so the result equals winner-take-all and
-subpixel refinement of the whole fused volume, bit for bit.
+aggregate.BLOCK_BYTES, of lengths that differ by at most one, and never
+holds a (D, H, W) volume. Each scale's inputs (x-gradients, census codes,
+guide statistics) are computed once per view, and each image's census
+codes once per run: the mirrored pass reads the left pass's codes
+through np.fliplr, whose Hamming distances equal those of the mirrored
+images' codes. One window-count array serves every scale of both views.
+For each block, scale by scale in order, the raw cost block is computed
+into the interior of the guided filter's padded buffer, filtered there,
+clamped, weighted and added into the block's total: the same float
+operations, in the same order, as on whole volumes. A block task thus
+holds four block-sized buffers: the total, the padded buffer and the
+filter's two temporaries. The totals fold into a running winner
+(disparity.RunningWinner) in increasing disparity, so the result equals
+winner-take-all and subpixel refinement of the whole fused volume, bit
+for bit.
 
 One thread pool (MSFUSE_THREADS, 0 = auto) runs both decompositions,
 then the blocks of both view passes, with no barrier between the passes.
@@ -62,31 +69,48 @@ class ScaleOutputs:
     agg_min: list  # 4 left-view aggregated costs, minimum over disparity
 
 
-def _scale_inputs(ref, other, config):
+def _scale_inputs(ref, other, config, counts, codes=None):
     """What every disparity block of one scale reads: the cost terms (the
-    first is the validated guide) and the guide statistics."""
-    terms = cost.cost_terms(ref, other, config.cost_params())
-    return terms, aggregate.guide_stats(terms[0], config.guided_filter_params())
+    first is the validated guide) and the guide statistics, which hold the
+    shared window ``counts``. ``codes``: census codes for ref and other, if
+    already known (see cost.cost_terms)."""
+    terms = cost.cost_terms(ref, other, config.cost_params(), codes)
+    return terms, aggregate.guide_stats(terms[0], config.guided_filter_params(),
+                                        counts)
+
+
+def _mirrored_scale_inputs(unmirrored, ref, other, config, counts):
+    """_scale_inputs of the mirrored pair (fliplr R, fliplr L) with the census
+    codes of the unmirrored pass's scale inputs, mirrored: the same bit swap
+    in both codes keeps every Hamming distance (see cost.census_transform).
+    The x-gradients are not shared: mirroring offsets a forward difference
+    by one column."""
+    cen_l, cen_r = unmirrored.result()[0][4:]  # queued before: running or done
+    return _scale_inputs(ref, other, config, counts,
+                         (np.fliplr(cen_r), np.fliplr(cen_l)))
 
 
 def _fused_block(inputs, config, weights, c0, shape, collect):
     """sum_s w_s * agg_s of the (n, H, W) block of disparities from c0, and
     the per-scale minima of agg_s over the block if ``collect``.
 
-    Per scale, in scale order: the raw cost block, filtered in place,
-    weighted and added into the total, so every cell gets the additions
-    of the whole-volume form in its order."""
+    Per scale, in scale order: the raw cost block, written into the filter's
+    padded buffer, filtered there, weighted and added into the total, so
+    every cell gets the additions of the whole-volume form in its order.
+    The total and the filter's scratch (aggregate.block_scratch) are the
+    task's four block buffers."""
     cost_params = config.cost_params()
     gf_params = config.guided_filter_params()
     d_max = c0 + shape[0] - 1
-    total, block = np.empty(shape), np.empty(shape)
+    total = np.empty(shape)
     scratch = aggregate.block_scratch(shape, gf_params.radius)
+    block = aggregate.scratch_block(scratch, gf_params.radius)
     minima = []
     for s, scale in enumerate(inputs):
         terms, stats = scale.result()
         cost.cost_block(terms, cost_params, c0, block)
         CostVolume(d_min=c0, d_max=d_max, data=block)  # checks the costs
-        aggregate.filter_block(terms[0], block, stats, gf_params, scratch)
+        aggregate.filter_block(terms[0], stats, gf_params, scratch)
         if collect:
             minima.append(block.min(axis=0))
         if s == 0:
@@ -98,22 +122,23 @@ def _fused_block(inputs, config, weights, c0, shape, collect):
     return total, minima
 
 
-def _view_pass(pool, pyr_ref, pyr_other, config, collect):
-    """Queue one view pass on the pool: the per-scale inputs, then one task
-    per disparity block. Returns a function that waits for the pass and
-    returns (disparity, per-scale aggregated-cost minima | None).
+def _view_pass(pool, inputs, shape, config, collect):
+    """Queue one task per disparity block of a view pass over (H, W) images
+    ``shape`` that reads the per-scale ``inputs`` (futures of
+    _scale_inputs). Returns a function that waits for the pass and returns
+    (disparity, per-scale aggregated-cost minima | None).
 
-    Each block task folds its total into the running winner once the
-    previous block has, so blocks fold in disparity order whatever the
-    thread count. The inputs live as long as the tasks that read them.
+    The disparities are split into aggregate.blocks of at most
+    aggregate.block_length slices whose lengths differ by at most one, so no
+    short last block leaves its worker waiting. Each block task folds its
+    total into the running winner once the previous block has, so blocks
+    fold in disparity order whatever the thread count. The inputs live as
+    long as the tasks that read them.
     """
     cost_params = config.cost_params()
     weights = fusion.finest_weights(config.fusion_params())
-    shape = pyr_ref[0].shape
-    inputs = [pool.submit(_scale_inputs, ref, other, config)
-              for ref, other in zip(pyr_ref, pyr_other)]
     winner = disparity.RunningWinner(shape)
-    minima = [np.full(shape, np.inf) for _ in pyr_ref] if collect else []
+    minima = [np.full(shape, np.inf) for _ in inputs] if collect else []
 
     def block_task(c0, block_shape, previous):
         total, block_minima = _fused_block(inputs, config, weights, c0,
@@ -124,11 +149,11 @@ def _view_pass(pool, pyr_ref, pyr_other, config, collect):
         for running, m in zip(minima, block_minima):
             np.minimum(running, m, out=running)
 
-    step = aggregate.block_length(shape)
+    n_disp = cost_params.d_max - cost_params.d_min + 1
     last = None
-    for c0 in range(cost_params.d_min, cost_params.d_max + 1, step):
-        n = min(step, cost_params.d_max + 1 - c0)
-        last = pool.submit(block_task, c0, (n,) + shape, last)
+    for start, stop in aggregate.blocks(n_disp, aggregate.block_length(shape)):
+        last = pool.submit(block_task, cost_params.d_min + start,
+                           (stop - start,) + shape, last)
 
     def finish():
         last.result()
@@ -143,7 +168,27 @@ def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
 
     Returns (disparity, per-scale aggregated-cost minima | None).
     """
-    return _view_pass(pool, pyr_ref, pyr_other, config, collect)()
+    shape = pyr_ref[0].shape
+    counts = aggregate.window_counts(shape, config.guided_filter_params().radius)
+    inputs = [pool.submit(_scale_inputs, ref, other, config, counts)
+              for ref, other in zip(pyr_ref, pyr_other)]
+    return _view_pass(pool, inputs, shape, config, collect)()
+
+
+def _view_passes(pool, pyr_l, pyr_r, config, collect):
+    """Queue the left view pass, then the right one on the mirrored
+    pyramids with the camera roles swapped, which reads the left pass's
+    census codes mirrored; one window-count array serves both. Returns the
+    two passes' finish functions (see _view_pass)."""
+    shape = pyr_l[0].shape
+    counts = aggregate.window_counts(shape, config.guided_filter_params().radius)
+    left = [pool.submit(_scale_inputs, l, r, config, counts)
+            for l, r in zip(pyr_l, pyr_r)]
+    finish_left = _view_pass(pool, left, shape, config, collect)
+    right = [pool.submit(_mirrored_scale_inputs, f, np.fliplr(r), np.fliplr(l),
+                         config, counts)
+             for f, l, r in zip(left, pyr_l, pyr_r)]
+    return finish_left, _view_pass(pool, right, shape, config, False)
 
 
 def run(left, right, config, collect=False):
@@ -155,15 +200,13 @@ def run(left, right, config, collect=False):
     Returns (disparity_map, validity_mask, ScaleOutputs | None).
     """
     disp_params = config.disparity_params()
-    mirrored = lambda pyr: [np.fliplr(x) for x in pyr]
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
         pyramids = [pool.submit(wls.decompose, image, config.wls_params())
                     for image in (left, right)]
         pyr_l, pyr_r = (f.result() for f in pyramids)
         # both passes are queued before either is awaited: no barrier
-        passes = [_view_pass(pool, pyr_l, pyr_r, config, collect),
-                  _view_pass(pool, mirrored(pyr_r), mirrored(pyr_l), config, False)]
+        passes = _view_passes(pool, pyr_l, pyr_r, config, collect)
         (d_left, agg_min), (d_right_mirrored, _) = (finish() for finish in passes)
     d_right = np.fliplr(d_right_mirrored)
 

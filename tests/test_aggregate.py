@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from msfuse import aggregate
 from msfuse.aggregate import (
@@ -227,6 +229,16 @@ class TestGuidedFilter:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             guided_filter(np.zeros((4, 4)), np.zeros((4, 5)), GuidedFilterParams())
+
+
+@given(st.integers(1, 300), st.integers(1, 40))
+def test_blocks_tile_the_range_evenly(n, length):
+    plan = list(aggregate.blocks(n, length))
+    assert len(plan) == -(-n // length)
+    assert plan[0][0] == 0 and plan[-1][1] == n
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(plan, plan[1:]))
+    sizes = [stop - start for start, stop in plan]
+    assert max(sizes) <= length and max(sizes) - min(sizes) <= 1
 
 
 class TestAggregateCost:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msfuse.core import gradient
 from msfuse.cost import CostParams, census_transform, match_cost
@@ -53,6 +56,16 @@ def cost_oracle(left, right, params):
     return vol
 
 
+@st.composite
+def image_pairs(draw):
+    """Two images of one shape from 1x1 to 6x7, on 1 (constant), 2, 3 or
+    256 grey levels, so that neighbours often tie with the centre."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 7)))
+    levels = draw(st.sampled_from([1, 2, 3, 256]))
+    grey = arrays(np.int64, shape, elements=st.integers(0, levels - 1))
+    return tuple(draw(grey) / max(levels - 1, 1) for _ in range(2))
+
+
 class TestCensus:
     def test_constant_all_zero(self):
         codes = census_transform(np.full((5, 5), 0.5), 2)
@@ -86,6 +99,23 @@ class TestCensus:
     def test_radius_too_small(self):
         with pytest.raises(ValueError):
             census_transform(np.zeros((3, 3)), 0)
+
+    @given(image_pairs(), st.integers(1, 3))
+    @example((np.full((3, 4), 0.5), np.full((3, 4), 0.5)), 2)
+    @example((np.array([[0.0], [1.0], [0.5]]), np.array([[1.0], [0.0], [0.0]])), 1)
+    @example((np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])), 3)
+    def test_mirrored_codes_keep_hamming_distances(self, pair, radius):
+        # the right view's pass reads np.fliplr of the left pass's codes in
+        # place of the codes of the mirrored images: their Hamming distances
+        # must agree at every column offset that cost_block compares
+        flipped = [np.fliplr(census_transform(img, radius)) for img in pair]
+        mirrored = [census_transform(np.fliplr(img), radius) for img in pair]
+        width = pair[0].shape[1]
+        for c in range(width):
+            np.testing.assert_array_equal(
+                np.bitwise_count(flipped[0][:, c:] ^ flipped[1][:, : width - c]),
+                np.bitwise_count(mirrored[0][:, c:] ^ mirrored[1][:, : width - c]),
+            )
 
 
 class TestMatchCost:

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from msfuse import aggregate, disparity, fusion, pipeline, wls
+from msfuse import aggregate, cost, disparity, fusion, pipeline, wls
 from msfuse.aggregate import aggregate_cost
 from msfuse.cli import main
 from msfuse.config import PipelineConfig
@@ -126,6 +126,67 @@ def test_branches_summed_as_they_finish():
         finally:
             tracemalloc.stop()
     assert peak < 3 * volume_bytes
+
+
+def fused_block_calls(monkeypatch, config, size):
+    """(c0, n, tracemalloc rise) of each block task of one view pass of a
+    random-dot pair of ``size`` on a one-worker pool; the rise is the task's
+    traced peak above what was resident when it started."""
+    left, right, _ = random_dot_pair(*size, 5, 0)
+    calls = []
+    fused_block = pipeline._fused_block
+
+    def measured(inputs, config, weights, c0, shape, collect):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fused_block(inputs, config, weights, c0, shape, collect)
+        calls.append((c0, shape[0], tracemalloc.get_traced_memory()[1] - base))
+        return result
+
+    monkeypatch.setattr(pipeline, "_fused_block", measured)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tracemalloc.start()
+        try:
+            pipeline.view_disparity(pool, [left] * 4, [right] * 4, config)
+        finally:
+            tracemalloc.stop()
+    return calls
+
+
+def test_block_task_holds_four_blocks(monkeypatch):
+    # the block total, and the filter's padded buffer (which holds the raw
+    # block) and two temporaries; the rest is the cost kernel's per-slice
+    # temporaries. Five buffers, as a separate raw block makes, exceed it.
+    config = PipelineConfig({"cost.d_max": 95})
+    slice_bytes = 120 * 160 * 8
+    for _, n, rise in fused_block_calls(monkeypatch, config, (160, 120)):
+        assert rise < 5 * n * slice_bytes
+
+
+def test_blocks_tile_the_disparity_range_evenly(monkeypatch):
+    # 38 disparities in blocks of at most 5 slices: 5 5 5 5 5 5 4 4, not
+    # seven of 5 and a last one of 3
+    monkeypatch.setattr(aggregate, "BLOCK_BYTES", 5 * 24 * 32 * 8)
+    config = PipelineConfig({"cost.d_min": 3, "cost.d_max": 40, "gf.radius": 2})
+    plan = [(c0, n) for c0, n, _ in fused_block_calls(monkeypatch, config, (32, 24))]
+    assert plan == [(3, 5), (8, 5), (13, 5), (18, 5), (23, 5), (28, 5),
+                    (33, 4), (37, 4)]
+
+
+def test_run_computes_census_once_per_image(monkeypatch):
+    # four scales of two images; the right view's pass mirrors the left
+    # pass's codes
+    calls = []
+    census_transform = cost.census_transform
+
+    def counting(img, radius):
+        calls.append(img)
+        return census_transform(img, radius)
+
+    monkeypatch.setattr(cost, "census_transform", counting)
+    left, right, _ = random_dot_pair(48, 32, 5, 0)
+    pipeline.run(left, right, PipelineConfig({}))
+    assert len(calls) == 8
 
 
 def decompose_calls(monkeypatch, threads):
