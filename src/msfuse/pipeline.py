@@ -163,18 +163,6 @@ def _view_pass(pool, inputs, shape, config, collect):
     return finish
 
 
-def view_disparity(pool, pyr_ref, pyr_other, config, collect=False):
-    """Disparity of the reference view before any consistency filtering.
-
-    Returns (disparity, per-scale aggregated-cost minima | None).
-    """
-    shape = pyr_ref[0].shape
-    counts = aggregate.window_counts(shape, config.guided_filter_params().radius)
-    inputs = [pool.submit(_scale_inputs, ref, other, config, counts)
-              for ref, other in zip(pyr_ref, pyr_other)]
-    return _view_pass(pool, inputs, shape, config, collect)()
-
-
 def _view_passes(pool, pyr_l, pyr_r, config, collect):
     """Queue the left view pass, then the right one on the mirrored
     pyramids with the camera roles swapped, which reads the left pass's

@@ -19,8 +19,8 @@ for this 5-point diffusion operator, whose coefficients jump by 1e4 at
 the guide's edges and are strongly anisotropic along them:
 - the interpolation is operator-dependent, its weights read from each
   level's 3x3 stencil (``_operator_interpolation``), so a coarse
-  correction does not leak across an edge, and the Galerkin coarse
-  operators are 9-point;
+  correction does not leak across an edge; the Galerkin coarse operators
+  P'AP are 9-point, and P' is P's transpose view, not a second matrix;
 - the smoother is alternating line relaxation: exact tridiagonal solves of
   all grid rows (x-lines), then of all columns (y-lines), before the coarse
   correction, and y-lines then x-lines after it, so the cycle is symmetric.
@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dpttrf
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import splu
 
 from .core import gradient, validate_image
 
@@ -284,7 +284,8 @@ def _line_sweep(d, e, b):
 
 
 def multigrid_preconditioner(system, shape):
-    """One symmetric V-cycle for the SPD ``system`` on a ``shape`` grid.
+    """One symmetric V-cycle for the SPD ``system`` on a ``shape`` grid, as
+    a function of a 1-D residual, which it does not write into.
 
     Level l+1 is the Galerkin product P'A_lP, P the operator-dependent
     interpolation (``_operator_interpolation``) from the grid of even rows
@@ -297,26 +298,26 @@ def multigrid_preconditioner(system, shape):
     positive definite with eig(BA) in (0, 1]. The sweeps solve in a buffer
     the preconditioner owns, so it runs one V-cycle at a time.
     """
-    return LinearOperator(system.shape, dtype=np.float64,
-                          matvec=partial(_vcycle, *_levels(system, shape)))
+    return partial(_vcycle, *_levels(system, shape))
 
 
 def _levels(system, shape):
     """The V-cycle's levels above the direct solve, a flat list (no
     reference cycle), and the LU factors of the coarsest grid. A level is
-    (A, P, P', shape, buffer, sweeps): both line sweeps solve in its
-    ``buffer``, the first unknowns of one buffer that all levels share. A
-    level holds nothing in it while the coarser levels run."""
+    (A, P, P', shape, buffer, sweeps), P' the CSC view ``p.T`` of P's
+    arrays, whose products sum as a CSR copy's do; only the Galerkin product
+    takes that copy. Both line sweeps solve in ``buffer``, the first unknowns
+    of one buffer that all levels share, which holds nothing of a level
+    while the coarser levels run."""
     levels = []
     a = system.tocsr()
     shared = np.empty(a.shape[0])
     while a.shape[0] > COARSEST_UNKNOWNS:
         p = _operator_interpolation(a, shape)
-        restrict = p.T.tocsr()
         buffer = shared[:a.shape[0]]
         sweeps = [_line_sweep(d, e, buffer) for d, e in _line_factors(a, shape)]
-        levels.append((a, p, restrict, shape, buffer, sweeps))
-        a = restrict @ a @ p
+        levels.append((a, p, p.T, shape, buffer, sweeps))
+        a = p.T.tocsr() @ a @ p
         shape = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
     return levels, splu(a.tocsc())
 
@@ -339,7 +340,6 @@ def _relax(level, r, x, axis):
 
 def _vcycle(levels, coarsest, r, depth=0):
     """V-cycle approximation of A_depth^-1 r, from a zero initial guess."""
-    r = r.ravel()  # LinearOperator.matvec may pass an (n, 1) column
     if depth == len(levels):
         return coarsest.solve(r)
     level = levels[depth]
@@ -366,7 +366,7 @@ def _norm(u):
 def cg(system, b, x0, *, rtol, atol, maxiter, M, callback=None):
     """Preconditioned conjugate gradient for the SPD ``system`` and b != 0:
     the iteration and stopping test of ``scipy.sparse.linalg.cg``, with the
-    inner products in ``_dot``.
+    inner products in ``_dot`` and ``M`` a function of the residual.
 
     Stops before a step once ||r|| < max(atol, rtol*||b||). Returns (x, 0)
     on convergence and (x, maxiter) when the iterations run out.
@@ -378,7 +378,7 @@ def cg(system, b, x0, *, rtol, atol, maxiter, M, callback=None):
     for iteration in range(maxiter):
         if _norm(r) < tol:
             return x, 0
-        z = M.matvec(r)
+        z = M(r)
         rho = _dot(r, z)
         if iteration > 0:
             p *= rho / rho_prev

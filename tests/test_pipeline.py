@@ -95,6 +95,15 @@ def test_dumped_minima_equal_reference(tmp_path):
                 == (tmp_path / "expected.pfm").read_bytes())
 
 
+def left_view_pass(pool, left, right, config):
+    """The left view's disparity from one view pass over the pyramids
+    [left] * 4 and [right] * 4, its blocks run on ``pool``."""
+    counts = aggregate.window_counts(left.shape, config.guided_filter_params().radius)
+    inputs = [pool.submit(pipeline._scale_inputs, left, right, config, counts)
+              for _ in range(4)]
+    return pipeline._view_pass(pool, inputs, left.shape, config, False)()
+
+
 def view_pass_peak(n_disp):
     """tracemalloc peak of one view pass at 160x120 on a one-worker pool."""
     left, right, _ = random_dot_pair(160, 120, 5, 0)
@@ -102,7 +111,7 @@ def view_pass_peak(n_disp):
     with ThreadPoolExecutor(max_workers=1) as pool:
         tracemalloc.start()
         try:
-            pipeline.view_disparity(pool, [left] * 4, [right] * 4, config)
+            left_view_pass(pool, left, right, config)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -113,15 +122,15 @@ def test_view_pass_memory_independent_of_disparity_range():
 
 
 def test_branches_summed_as_they_finish():
-    # one worker: the accumulator and the running branch's volume are the
-    # only volumes resident, never the four weighted ones at once
+    # one worker: a view pass holds the scale inputs and one block task's
+    # buffers, never a whole (D, H, W) volume, let alone one per scale
     left, right, _ = random_dot_pair(160, 120, 5, 0)
     config = PipelineConfig({"cost.d_max": 95})
     volume_bytes = 96 * 120 * 160 * 8
     with ThreadPoolExecutor(max_workers=1) as pool:
         tracemalloc.start()
         try:
-            pipeline.view_disparity(pool, [left] * 4, [right] * 4, config)
+            left_view_pass(pool, left, right, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -147,7 +156,7 @@ def fused_block_calls(monkeypatch, config, size):
     with ThreadPoolExecutor(max_workers=1) as pool:
         tracemalloc.start()
         try:
-            pipeline.view_disparity(pool, [left] * 4, [right] * 4, config)
+            left_view_pass(pool, left, right, config)
         finally:
             tracemalloc.stop()
     return calls

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.linalg import cg as scipy_cg
+from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -163,6 +163,11 @@ class TestWlsFilter:
         assert f"after {err.value.iterations} iterations" in str(err.value)
 
 
+def rdot8_192x256():
+    """The benchmark's 8-bit random-dot left image at 256x192."""
+    return np.round(synth.random_dot_pair(256, 192, 5, 1)[0] * 255) / 255
+
+
 def wls_system(h, params):
     return sp.eye(h.size, format="csr") + params.eta * build_laplacian(h, params)
 
@@ -213,9 +218,9 @@ class TestMultigrid:
         rng = np.random.default_rng(7)
         for _ in range(10):
             x, y = rng.standard_normal((2, h.size))
-            xmy, ymx = x @ vcycle.matvec(y), y @ vcycle.matvec(x)
+            xmy, ymx = x @ vcycle(y), y @ vcycle(x)
             assert abs(xmy - ymx) <= 1e-12 * abs(xmy)
-            assert x @ vcycle.matvec(x) > 0
+            assert x @ vcycle(x) > 0
 
     # thin grids, where the x-line or y-line blocks are whole rows or
     # columns and Galerkin levels reach width 2, and 8-bit plateaus, where
@@ -243,7 +248,8 @@ class TestMultigrid:
         h = self.DENSE_IMAGES[image]()
         system = wls_system(h, WlsParams(eta=eta))
         assert system.shape[0] > wls.COARSEST_UNKNOWNS  # at least one level
-        dense = multigrid_preconditioner(system, h.shape) @ np.eye(h.size)
+        vcycle = multigrid_preconditioner(system, h.shape)
+        dense = np.column_stack([vcycle(unit) for unit in np.eye(h.size)])
         assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
         chol = np.linalg.cholesky(system.toarray())
         eig = np.linalg.eigvalsh(chol.T @ dense @ chol)  # similar to BA
@@ -289,17 +295,34 @@ class TestMultigrid:
             a, shape = (p.T @ a @ p).tocsr(), coarse
 
     def test_setup_memory_bounded(self):
-        # tracemalloc peak of building one hierarchy on a benchmark-size
-        # 8-bit image (the V-cycle keeps ~7 MiB of it)
-        h = np.round(synth.random_dot_pair(256, 192, 5, 1)[0] * 255) / 255
+        # tracemalloc of building one hierarchy on a benchmark-size 8-bit
+        # image: the V-cycle keeps 6.0 MiB and peaks at 7.6 MiB; a CSR copy
+        # of each level's restriction would keep 7.7 and peak at 8.9
+        h = rdot8_192x256()
         system = wls_system(h, WlsParams()).tocsr()
         tracemalloc.start()
         try:
-            multigrid_preconditioner(system, h.shape)
-            _, peak = tracemalloc.get_traced_memory()
+            vcycle = multigrid_preconditioner(system, h.shape)  # kept alive
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2**20, peak / 2**20
+        assert retained <= 6.5 * 2**20, retained / 2**20
+        assert peak <= 8.5 * 2**20, peak / 2**20
+
+    def test_restriction_is_interpolation_transposed(self):
+        # P' is a view of P's arrays, and its products are the bytes of a
+        # CSR copy's, on which the pyramids' bit identity rests
+        h = rdot8_192x256()
+        levels, _ = wls._levels(wls_system(h, WlsParams()), h.shape)
+        assert len(levels) == 4
+        rng = np.random.default_rng(46)
+        for _, p, restrict, _, _, _ in levels:
+            for ours, theirs in ((restrict.data, p.data),
+                                 (restrict.indices, p.indices),
+                                 (restrict.indptr, p.indptr)):
+                assert np.shares_memory(ours, theirs)
+            v = rng.standard_normal(p.shape[0])
+            assert (restrict @ v).tobytes() == (p.T.tocsr() @ v).tobytes()
 
     def test_leaves_no_reference_cycles(self):
         # the hierarchy must be freed by reference counting: a cycle would
@@ -378,8 +401,7 @@ class TestLineSweep:
         # every level's x-line and y-line factors, through the sweep alone
         # and through a whole x += T^-1 (r - Ax) step in the level's layout
         h = {
-            "rdot8-192x256": lambda: np.round(
-                synth.random_dot_pair(256, 192, 5, 1)[0] * 255) / 255,
+            "rdot8-192x256": rdot8_192x256,
             "1x400": lambda: np.random.default_rng(40).random((1, 400)),
             "400x1": lambda: np.random.default_rng(41).random((400, 1)),
             "2x150": lambda: np.random.default_rng(42).random((2, 150)),
@@ -410,9 +432,9 @@ class TestLineSweep:
         vcycle = multigrid_preconditioner(wls_system(h, WlsParams()), h.shape)
         r, other = np.random.default_rng(45).standard_normal((2, h.size))
         r_in = r.copy()
-        first = vcycle.matvec(r)
-        vcycle.matvec(other)
-        np.testing.assert_array_equal(vcycle.matvec(r), first)
+        first = vcycle(r)
+        vcycle(other)
+        np.testing.assert_array_equal(vcycle(r), first)
         np.testing.assert_array_equal(r, r_in)
 
     def test_rejects_mismatched_arrays(self):
@@ -466,6 +488,13 @@ class TestLineSweep:
             assert repr(name) in str(err.value)
 
 
+def scipy_oracle_cg(system, b, x0, *, M, **kwargs):
+    """scipy.sparse.linalg.cg with the V-cycle function ``M`` as its
+    preconditioner, which scipy takes as a LinearOperator."""
+    M = LinearOperator(system.shape, matvec=M, dtype=np.float64)
+    return scipy_cg(system, b, x0, M=M, **kwargs)
+
+
 class TestCg:
     """scipy.sparse.linalg.cg is the oracle for wls.cg's BLAS-free loop."""
 
@@ -497,8 +526,8 @@ class TestCg:
     def test_matches_scipy(self, image):
         h = self.IMAGES[image]()
         x, info, iterations = self.solve(wls.cg, h, rtol=1e-8, maxiter=10000)
-        ref, ref_info, ref_iterations = self.solve(scipy_cg, h, rtol=1e-8,
-                                                   maxiter=10000)
+        ref, ref_info, ref_iterations = self.solve(scipy_oracle_cg, h,
+                                                   rtol=1e-8, maxiter=10000)
         assert info == ref_info == 0
         assert iterations == ref_iterations
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -508,7 +537,8 @@ class TestCg:
         h = self.IMAGES[image]()
         maxiter = self.EXHAUSTED_AT[image]
         _, info, iterations = self.solve(wls.cg, h, rtol=1e-15, maxiter=maxiter)
-        _, ref_info, _ = self.solve(scipy_cg, h, rtol=1e-15, maxiter=maxiter)
+        _, ref_info, _ = self.solve(scipy_oracle_cg, h, rtol=1e-15,
+                                    maxiter=maxiter)
         assert info == ref_info == iterations == maxiter
         with pytest.raises(SolverError) as err:
             wls_filter(h, WlsParams(solver_tol=1e-15, max_iter=maxiter))
