@@ -102,16 +102,31 @@ def cost_block(terms, params, c0, out):
     n_bits = (2 * params.census_radius + 1) ** 2 - 1
     out[...] = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
 
+    # every term is written in place, into the output slice or one of two
+    # per-call scratch slices; each cell sums in the order of the formula,
+    # (w_ad * ad + w_grad * gr) + (w_cen * ham) / n_bits
+    term = np.empty(left.shape)
+    xor = term.view(np.uint64)  # the codes' xor, once the gradient term is added
+    ham = np.empty(left.shape, np.uint8)
     for k, c in enumerate(range(c0, min(c0 + len(out), width))):
         # columns j >= c have an in-bounds right sample at j - c
         cols = slice(c, width)
         src = slice(0, width - c)
-        ad = np.minimum(np.abs(left[:, cols] - right[:, src]), params.tau_ad)
-        gr = np.minimum(np.abs(grad_l[:, cols] - grad_r[:, src]), params.tau_grad)
-        ham = np.bitwise_count(cen_l[:, cols] ^ cen_r[:, src]).astype(np.float64)
-        out[k, :, cols] = (
-            params.w_ad * ad + params.w_grad * gr + params.w_cen * ham / n_bits
-        )
+        cost, t = out[k, :, cols], term[:, src]
+        np.subtract(left[:, cols], right[:, src], out=cost)
+        np.abs(cost, out=cost)
+        np.minimum(cost, params.tau_ad, out=cost)
+        np.multiply(cost, params.w_ad, out=cost)
+        np.subtract(grad_l[:, cols], grad_r[:, src], out=t)
+        np.abs(t, out=t)
+        np.minimum(t, params.tau_grad, out=t)
+        np.multiply(t, params.w_grad, out=t)
+        np.add(cost, t, out=cost)
+        np.bitwise_xor(cen_l[:, cols], cen_r[:, src], out=xor[:, src])
+        np.bitwise_count(xor[:, src], out=ham[:, src])
+        np.multiply(ham[:, src], params.w_cen, out=t)
+        np.divide(t, n_bits, out=t)
+        np.add(cost, t, out=cost)
     return out
 
 

@@ -47,7 +47,8 @@ from .core import INVALID_DISPARITY, CostVolume
 
 
 def thread_count():
-    """Pool size from MSFUSE_THREADS (0 or unset = auto)."""
+    """Pool size from MSFUSE_THREADS (0 or unset = auto: the CPUs this
+    process may run on, as taskset or a cpuset limits them, at most 4)."""
     raw = os.environ.get("MSFUSE_THREADS", "0")
     try:
         n = int(raw)
@@ -56,6 +57,8 @@ def thread_count():
     if n < 0:
         raise ValueError("MSFUSE_THREADS must be >= 0")
     if n == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return min(4, len(os.sched_getaffinity(0)))
         return min(4, os.cpu_count() or 1)
     return n
 

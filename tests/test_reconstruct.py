@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from msfuse import reconstruct
 from msfuse.core import INVALID_DISPARITY
 from msfuse.reconstruct import (
     CameraRig,
     PointCloud,
     _fmt,
-    _fmt_column,
+    _shortest,
+    _text_fields,
     export_ply,
     triangulate,
 )
@@ -23,6 +27,24 @@ BOUNDARY_VALUES = [
     np.nextafter(F32(1e16), F32(0)), F32(1e16), np.nextafter(F32(1e16), F32(1e17)),
     1.5e16, -1.5e16, 3.4028235e38, 1.0, -1.0, 0.1, 123456.0, 16777217.0,
 ]
+# float32 bit patterns other than NaN and ±inf
+FINITE_BITS = st.integers(0, 2**32 - 1).filter(lambda bits: bits >> 23 & 0xFF != 0xFF)
+
+
+def field_texts(values):
+    """The text of each value in the rows of _text_fields."""
+    return [bytes(row[row != 0]).decode() for row in _text_fields(values)]
+
+
+def power_boundaries():
+    """Every power of two of float32, ±, with its two neighbours, and the
+    float32 nearest each power of ten, with its two neighbours."""
+    powers = np.arange(256, dtype=np.uint32) << 23
+    tens = np.float32(10.0 ** np.arange(-45, 39)).view(np.uint32)
+    bits = np.concatenate([powers, tens])[:, None] + np.array([-1, 0, 1])
+    bits = bits.ravel().astype(np.uint32)
+    values = bits[(bits >> 23 & 0xFF) != 0xFF].view(np.float32)
+    return np.concatenate([values, -values])
 
 
 def project_disparity(cloud, rig, shape):
@@ -145,22 +167,41 @@ class TestExportPly:
     @given(arrays(F32, st.integers(0, 40),
                   elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
     def test_column_format_matches_scalar(self, values):
-        assert _fmt_column(values) == [_fmt(v) for v in values]
+        assert field_texts(values) == [_fmt(v) for v in values]
 
     @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=6),
            st.lists(st.integers(0, 7), max_size=40))
     def test_column_format_with_repeats_and_signed_zeros(self, pool, picks):
-        # values are formatted once per distinct bit pattern: repeats get
-        # the same text, and -0.0 keeps its sign apart from 0.0
+        # repeats get the same text, and -0.0 keeps its sign apart from 0.0
         pool = np.array(pool + [0.0, -0.0], dtype=F32)
         values = pool[np.array(picks, dtype=np.intp) % len(pool)]
-        assert _fmt_column(values) == [_fmt(v) for v in values]
+        assert field_texts(values) == [_fmt(v) for v in values]
 
     def test_column_format_boundaries(self):
         values = np.array(BOUNDARY_VALUES, dtype=F32)
-        assert _fmt_column(values) == [_fmt(v) for v in values]
-        assert _fmt_column(values)[:3] == ["0", "-0", "0." + "0" * 44 + "1"]
+        assert field_texts(values) == [_fmt(v) for v in values]
+        assert field_texts(values)[:3] == ["0", "-0", "0." + "0" * 44 + "1"]
+
+    @given(st.lists(FINITE_BITS, max_size=64))
+    def test_fields_match_fmt_on_any_bit_pattern(self, patterns):
+        values = np.array(patterns, dtype=np.uint32).view(F32)
+        assert field_texts(values) == [_fmt(v) for v in values]
+
+    def test_fields_match_fmt_at_powers_of_two_and_ten(self):
+        # binade and decade edges, the window's edges 2**-13 and 2**30,
+        # subnormals and the largest finite values among them
+        values = power_boundaries()
+        assert field_texts(values) == [_fmt(v) for v in values]
+
+    def test_shortest_digits_of_powers_of_ten(self):
+        # one digit each, also at the top of a binade that starts a decade
+        # lower (0.1 is in [2**-4, 2**-3)); the text alone would not show
+        # a fraction digit too many there, as trailing zeros are dropped
+        exponents = np.arange(-3, 9)
+        digits, k9, places = _shortest(F32(10.0 ** exponents).view(np.uint32))
+        assert places.tolist() == np.maximum(-exponents, 0).tolist()
+        assert (digits == 10 ** (exponents - k9)).all()
 
     def test_matches_pointwise_writer(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -172,6 +213,36 @@ class TestExportPly:
         path = tmp_path / "c.ply"
         export_ply(cloud, path)
         assert path.read_text() == reference_ply(cloud)
+
+    def test_blocks_join_into_the_pointwise_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reconstruct, "PLY_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-5, 5, (23, 3))
+        pts[:, 2] = np.abs(pts[:, 2]) + 0.5
+        for intensity in (None, rng.random(23)):
+            cloud = PointCloud(points=pts, pixels=np.zeros((23, 2), dtype=int),
+                               intensity=intensity)
+            path = tmp_path / "c.ply"
+            export_ply(cloud, path)
+            assert path.read_text() == reference_ply(cloud)
+
+    def test_export_memory_is_set_by_the_block(self, tmp_path):
+        # a 640x480 cloud: its text takes 12 MiB, its points 7 MiB, and the
+        # writer holds one block of PLY_BLOCK_ROWS points (~1.7 MiB) at a time
+        n = 640 * 480
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(-5, 5, (n, 3))
+        pts[:, 2] = np.abs(pts[:, 2]) + 0.5
+        cloud = PointCloud(points=pts, pixels=np.zeros((n, 2), dtype=int),
+                           intensity=rng.random(n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            export_ply(cloud, tmp_path / "c.ply")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * reconstruct.PLY_BLOCK_ROWS
 
     def test_empty_cloud(self, tmp_path):
         cloud = PointCloud(
