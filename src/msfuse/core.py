@@ -49,9 +49,12 @@ class CostVolume:
                 f"disparity axis {arr.shape[0]} does not match range "
                 f"[{self.d_min}, {self.d_max}]"
             )
-        if not np.isfinite(arr).all():
+        # two reductions, with no volume-sized temporary; NaN propagates
+        # through both, and -inf is the minimum
+        low, high = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("cost volume contains non-finite values")
-        if (arr < 0).any():
+        if low < 0:
             raise ValueError("cost volume contains negative costs")
         object.__setattr__(self, "data", arr)
 

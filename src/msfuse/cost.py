@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostVolume, gradient, validate_image
+from .core import CostVolume, validate_image
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class CostParams:
         if self.tau_ad <= 0 or self.tau_grad <= 0:
             raise ValueError("truncation thresholds must be > 0")
         if not 1 <= self.census_radius <= 3:
-            raise ValueError("census_radius must be in [1, 3] (uint64 codes)")
+            raise ValueError(
+                "census_radius must be in [1, 3] (codes of at most 64 bits)")
 
 
 def census_transform(img, radius):
@@ -44,7 +45,7 @@ def census_transform(img, radius):
 
     Out-of-bounds neighbors are NaN padding, which compares False, so their
     bit is 0 as if they took the center value.
-    Codes fit in uint64 for radius <= 3.
+    Codes are uint32 up to radius 2 (24 bits) and uint64 at radius 3.
 
     The codes of np.fliplr(img) are np.fliplr of these codes with the bits
     of neighbors (dy, dx) and (dy, -dx) swapped; the same swap in two codes
@@ -57,41 +58,66 @@ def census_transform(img, radius):
     if n_bits > 64:
         raise ValueError(f"census window too large ({n_bits} bits > 64)")
 
+    dtype = np.uint32 if n_bits <= 32 else np.uint64
     height, width = img.shape
     padded = np.pad(img, radius, constant_values=np.nan)
-    codes = np.zeros((height, width), dtype=np.uint64)
+    codes = np.zeros((height, width), dtype=dtype)
     bit = 0
     for dy in range(2 * radius + 1):
         for dx in range(2 * radius + 1):
             if dy == radius and dx == radius:
                 continue
             neighbor = padded[dy : dy + height, dx : dx + width]
-            codes |= (neighbor < img).astype(np.uint64) << np.uint64(bit)
+            codes |= (neighbor < img).astype(dtype) << dtype(bit)
             bit += 1
     return codes
 
 
-def cost_terms(left, right, params, codes=None):
-    """Per-view inputs of the fused cost, computed once and shared by every
-    disparity: (left, right, x-gradients of both, census codes of both).
+def padded_gradient(img):
+    """The x-gradient of an (H, W) image with a zero column in front,
+    G = [0 | gradient(img, "x")], shape (H, W + 1).
 
-    ``codes``, if given, stand for the census codes of left and right: any
-    pair with the same Hamming distances, such as the mirrored codes of the
-    mirrored images (see census_transform).
+    G's last column is 0 too (the forward difference's trailing border), so
+    np.fliplr(G) has the same layout for the mirrored image, negated:
+    np.fliplr(G)[:, 1:] is -gradient(np.fliplr(img), "x") up to the sign of
+    zeros. cost_block reads gradients only through |dxL - dxR|, which
+    negating both leaves bit-identical.
     """
+    g = np.zeros((img.shape[0], img.shape[1] + 1))
+    np.subtract(img[:, 1:], img[:, :-1], out=g[:, 1:-1])
+    return g
+
+
+def cost_terms(left, right, params):
+    """Per-view inputs of the fused cost, computed once and shared by every
+    disparity: (left, right, padded x-gradients of both, census codes of
+    both); see padded_gradient."""
     left = validate_image(left)
     right = validate_image(right)
     if left.shape != right.shape:
         raise ValueError(f"image shapes differ: {left.shape} vs {right.shape}")
-    if codes is None:
-        codes = (census_transform(left, params.census_radius),
-                 census_transform(right, params.census_radius))
-    return (left, right, gradient(left, "x"), gradient(right, "x"), *codes)
+    return (left, right, padded_gradient(left), padded_gradient(right),
+            census_transform(left, params.census_radius),
+            census_transform(right, params.census_radius))
 
 
-def cost_block(terms, params, c0, out):
+def mirrored_terms(terms):
+    """Cost terms of the mirrored pair (fliplr right, fliplr left) as views
+    of the cost_terms of (left, right): every term mirrored, the roles
+    swapped. cost_block gives them the costs of
+    cost_terms(fliplr right, fliplr left) bit for bit: the mirrored padded
+    gradients are the negated ones (see padded_gradient), and the mirrored
+    codes swap the bits of neighbors (dy, dx) and (dy, -dx) in both codes,
+    which keeps every Hamming distance (see census_transform)."""
+    left, right, grad_l, grad_r, cen_l, cen_r = terms
+    return tuple(np.fliplr(t) for t in (right, left, grad_r, grad_l, cen_r, cen_l))
+
+
+def cost_block(terms, params, c0, out, work):
     """Fused costs of disparities c0, c0 + 1, ... into the slices of the
-    (k, H, W) array ``out``; ``terms`` comes from cost_terms.
+    (k, H, W) array ``out``; ``terms`` comes from cost_terms or
+    mirrored_terms. ``work`` is two contiguous float64 (H, W) arrays that
+    it overwrites.
 
     E = w_ad * min(|L - R|, tau_ad)
       + w_grad * min(|dxL - dxR|, tau_grad)
@@ -102,14 +128,16 @@ def cost_block(terms, params, c0, out):
     n_bits = (2 * params.census_radius + 1) ** 2 - 1
     out[...] = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
 
-    # every term is written in place, into the output slice or one of two
-    # per-call scratch slices; each cell sums in the order of the formula,
+    # every term is written in place, into the output slice or a work
+    # array; each cell sums in the order of the formula,
     # (w_ad * ad + w_grad * gr) + (w_cen * ham) / n_bits
-    term = np.empty(left.shape)
-    xor = term.view(np.uint64)  # the codes' xor, once the gradient term is added
-    ham = np.empty(left.shape, np.uint8)
+    term, spare = work
+    # term holds the codes' xor once the gradient term is added to the cost
+    xor = np.ndarray(left.shape, cen_l.dtype, buffer=term)
+    ham = np.ndarray(left.shape, np.uint8, buffer=spare)
     for k, c in enumerate(range(c0, min(c0 + len(out), width))):
-        # columns j >= c have an in-bounds right sample at j - c
+        # columns j >= c have an in-bounds right sample at j - c; a padded
+        # gradient's column j + 1 holds the gradient at j
         cols = slice(c, width)
         src = slice(0, width - c)
         cost, t = out[k, :, cols], term[:, src]
@@ -117,7 +145,7 @@ def cost_block(terms, params, c0, out):
         np.abs(cost, out=cost)
         np.minimum(cost, params.tau_ad, out=cost)
         np.multiply(cost, params.w_ad, out=cost)
-        np.subtract(grad_l[:, cols], grad_r[:, src], out=t)
+        np.subtract(grad_l[:, c + 1 :], grad_r[:, 1 : width - c + 1], out=t)
         np.abs(t, out=t)
         np.minimum(t, params.tau_grad, out=t)
         np.multiply(t, params.w_grad, out=t)
@@ -134,7 +162,8 @@ def match_cost(left, right, params):
     """Build the fused cost volume E(j, c) for c in [d_min, d_max] (see
     cost_block)."""
     terms = cost_terms(left, right, params)
+    shape = terms[0].shape
     n_disp = params.d_max - params.d_min + 1
-    volume = cost_block(terms, params, params.d_min,
-                        np.empty((n_disp,) + terms[0].shape))
+    volume = cost_block(terms, params, params.d_min, np.empty((n_disp,) + shape),
+                        np.empty((2,) + shape))
     return CostVolume(d_min=params.d_min, d_max=params.d_max, data=volume)

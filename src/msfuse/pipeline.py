@@ -11,20 +11,21 @@ mirrored images up to solver roundoff.
 
 A view pass streams over disparity blocks of at most
 aggregate.BLOCK_BYTES, of lengths that differ by at most one, and never
-holds a (D, H, W) volume. Each scale's inputs (x-gradients, census codes,
-guide statistics) are computed once per view, and each image's census
-codes once per run: the mirrored pass reads the left pass's codes
-through np.fliplr, whose Hamming distances equal those of the mirrored
-images' codes. One window-count array serves every scale of both views.
-For each block, scale by scale in order, the raw cost block is computed
-into the interior of the guided filter's padded buffer, filtered there,
-clamped, weighted and added into the block's total: the same float
-operations, in the same order, as on whole volumes. A block task thus
-holds four block-sized buffers: the total, the padded buffer and the
-filter's two temporaries. The totals fold into a running winner
-(disparity.RunningWinner) in increasing disparity, so the result equals
-winner-take-all and subpixel refinement of the whole fused volume, bit
-for bit.
+holds a (D, H, W) volume. Each scale's guide statistics are computed once
+per view, and each image's x-gradients and census codes once per run:
+the mirrored pass reads the left pass's through np.fliplr
+(cost.mirrored_terms), which gives every cost of the mirrored images bit
+for bit. One window-count array serves every scale of both views. For
+each block, scale by scale in order, the raw cost block is computed into
+the interior of the guided filter's padded buffer, with the filter's two
+temporaries, idle until the filter runs, as the cost kernel's scratch.
+It is filtered there, clamped, weighted and added into the block's
+total: the same float operations, in the same order, as on whole
+volumes. A block task thus holds four block-sized buffers and no other
+scratch: the total, the padded buffer and the filter's two temporaries.
+The totals fold into a running winner (disparity.RunningWinner) in
+increasing disparity, so the result equals winner-take-all and subpixel
+refinement of the whole fused volume, bit for bit.
 
 One thread pool (MSFUSE_THREADS, 0 = auto) runs both decompositions,
 then the blocks of both view passes, with no barrier between the passes.
@@ -72,25 +73,23 @@ class ScaleOutputs:
     agg_min: list  # 4 left-view aggregated costs, minimum over disparity
 
 
-def _scale_inputs(ref, other, config, counts, codes=None):
+def _scale_inputs(ref, other, config, counts):
     """What every disparity block of one scale reads: the cost terms (the
     first is the validated guide) and the guide statistics, which hold the
-    shared window ``counts``. ``codes``: census codes for ref and other, if
-    already known (see cost.cost_terms)."""
-    terms = cost.cost_terms(ref, other, config.cost_params(), codes)
+    shared window ``counts``."""
+    terms = cost.cost_terms(ref, other, config.cost_params())
     return terms, aggregate.guide_stats(terms[0], config.guided_filter_params(),
                                         counts)
 
 
-def _mirrored_scale_inputs(unmirrored, ref, other, config, counts):
-    """_scale_inputs of the mirrored pair (fliplr R, fliplr L) with the census
-    codes of the unmirrored pass's scale inputs, mirrored: the same bit swap
-    in both codes keeps every Hamming distance (see cost.census_transform).
-    The x-gradients are not shared: mirroring offsets a forward difference
-    by one column."""
-    cen_l, cen_r = unmirrored.result()[0][4:]  # queued before: running or done
-    return _scale_inputs(ref, other, config, counts,
-                         (np.fliplr(cen_r), np.fliplr(cen_l)))
+def _mirrored_scale_inputs(unmirrored, config, counts):
+    """_scale_inputs of the mirrored pair (fliplr R, fliplr L), whose cost
+    terms are flipped views of the unmirrored pass's: its x-gradients and
+    census codes are shared, not recomputed (see cost.mirrored_terms)."""
+    # queued before: running or done
+    terms = cost.mirrored_terms(unmirrored.result()[0])
+    return terms, aggregate.guide_stats(terms[0], config.guided_filter_params(),
+                                        counts)
 
 
 def _fused_block(inputs, config, weights, c0, shape, collect):
@@ -100,18 +99,20 @@ def _fused_block(inputs, config, weights, c0, shape, collect):
     Per scale, in scale order: the raw cost block, written into the filter's
     padded buffer, filtered there, weighted and added into the total, so
     every cell gets the additions of the whole-volume form in its order.
-    The total and the filter's scratch (aggregate.block_scratch) are the
-    task's four block buffers."""
+    The cost kernel's work arrays are the first slices of the filter's two
+    temporaries, which it overwrites. The total and the filter's scratch
+    (aggregate.block_scratch) are the task's four block buffers."""
     cost_params = config.cost_params()
     gf_params = config.guided_filter_params()
     d_max = c0 + shape[0] - 1
     total = np.empty(shape)
     scratch = aggregate.block_scratch(shape, gf_params.radius)
     block = aggregate.scratch_block(scratch, gf_params.radius)
+    work = (scratch[1][0], scratch[2][0])
     minima = []
     for s, scale in enumerate(inputs):
         terms, stats = scale.result()
-        cost.cost_block(terms, cost_params, c0, block)
+        cost.cost_block(terms, cost_params, c0, block, work)
         CostVolume(d_min=c0, d_max=d_max, data=block)  # checks the costs
         aggregate.filter_block(terms[0], stats, gf_params, scratch)
         if collect:
@@ -169,16 +170,14 @@ def _view_pass(pool, inputs, shape, config, collect):
 def _view_passes(pool, pyr_l, pyr_r, config, collect):
     """Queue the left view pass, then the right one on the mirrored
     pyramids with the camera roles swapped, which reads the left pass's
-    census codes mirrored; one window-count array serves both. Returns the
-    two passes' finish functions (see _view_pass)."""
+    x-gradients and census codes mirrored; one window-count array serves
+    both. Returns the two passes' finish functions (see _view_pass)."""
     shape = pyr_l[0].shape
     counts = aggregate.window_counts(shape, config.guided_filter_params().radius)
     left = [pool.submit(_scale_inputs, l, r, config, counts)
             for l, r in zip(pyr_l, pyr_r)]
     finish_left = _view_pass(pool, left, shape, config, collect)
-    right = [pool.submit(_mirrored_scale_inputs, f, np.fliplr(r), np.fliplr(l),
-                         config, counts)
-             for f, l, r in zip(left, pyr_l, pyr_r)]
+    right = [pool.submit(_mirrored_scale_inputs, f, config, counts) for f in left]
     return finish_left, _view_pass(pool, right, shape, config, False)
 
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from msfuse.core import FormatError, gradient, load_image, save_image, validate_image
+from msfuse.core import (CostVolume, FormatError, gradient, load_image, save_image,
+                         validate_image)
 
 
 def small_images(max_side=8):
@@ -158,3 +161,38 @@ class TestGradient:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             gradient(np.zeros((2, 2)), "z")
+
+
+class TestCostVolume:
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+        (-5e-324, "negative"),
+    ])
+    def test_rejects(self, bad, message):
+        data = np.full((2, 3, 4), 0.5)
+        data[1, 2, 3] = bad
+        with pytest.raises(ValueError, match=message):
+            CostVolume(d_min=0, d_max=1, data=data)
+
+    def test_non_finite_reported_before_negative(self):
+        data = np.full((2, 3, 4), 0.5)
+        data[0, 0, 0], data[1, 1, 1] = -1.0, np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            CostVolume(d_min=0, d_max=1, data=data)
+
+    def test_accepts_zeros_and_empty_images(self):
+        CostVolume(d_min=0, d_max=1, data=np.zeros((2, 3, 4)))
+        CostVolume(d_min=0, d_max=1, data=np.zeros((2, 0, 4)))
+
+    def test_check_holds_no_volume_sized_temporary(self):
+        # a strided view, as the pipeline checks a block inside the filter's
+        # padded buffer
+        data = np.full((16, 136, 136), 0.5)[:, 4:-4, 4:-4]
+        tracemalloc.start()
+        try:
+            CostVolume(d_min=0, d_max=15, data=data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a boolean mask of the volume would be data.size bytes
+        assert peak < data.size // 2

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from msfuse.core import gradient
-from msfuse.cost import CostParams, census_transform, match_cost
+from msfuse.cost import (CostParams, census_transform, cost_block, cost_terms,
+                         match_cost, mirrored_terms)
 
 
 def census_oracle(img, radius):
@@ -66,6 +67,19 @@ def image_pairs(draw):
     return tuple(draw(grey) / max(levels - 1, 1) for _ in range(2))
 
 
+@st.composite
+def float_pairs(draw):
+    """Two images of one shape from 1x1 to 5x8 of any floats in [0, 1]
+    (subnormals included), or of 3 grey levels, so that neighbours and
+    gradients often tie."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 8)))
+    if draw(st.booleans()):
+        values = st.floats(0, 1)
+    else:
+        values = st.sampled_from([0.0, 0.5, 1.0])
+    return tuple(draw(arrays(np.float64, shape, elements=values)) for _ in range(2))
+
+
 class TestCensus:
     def test_constant_all_zero(self):
         codes = census_transform(np.full((5, 5), 0.5), 2)
@@ -84,9 +98,10 @@ class TestCensus:
             # continuous values, and 4-level values with many ties
             for img in (rng.random(shape), np.floor(rng.random(shape) * 4) / 4):
                 for radius in (1, 2, 3):
-                    np.testing.assert_array_equal(
-                        census_transform(img, radius), census_oracle(img, radius)
-                    )
+                    codes = census_transform(img, radius)
+                    # 8 and 24 bits fit in uint32, 48 need uint64
+                    assert codes.dtype == (np.uint64 if radius == 3 else np.uint32)
+                    np.testing.assert_array_equal(codes, census_oracle(img, radius))
 
     def test_monotone_invariance(self):
         rng = np.random.default_rng(18)
@@ -116,6 +131,32 @@ class TestCensus:
                 np.bitwise_count(flipped[0][:, c:] ^ flipped[1][:, : width - c]),
                 np.bitwise_count(mirrored[0][:, c:] ^ mirrored[1][:, : width - c]),
             )
+
+
+class TestCostBlock:
+    @given(float_pairs(), st.integers(1, 3), st.integers(1, 4),
+           st.sampled_from([0.08, 10.0]))
+    @example((np.array([[0.25], [1.0]]), np.array([[0.5], [0.0]])), 2, 2, 10.0)
+    @example((np.array([[0.0, 1.0], [0.3, 0.1]]), np.array([[1.0, 0.0], [0.7, 0.7]])),
+             1, 3, 10.0)
+    def test_mirrored_terms_give_the_mirrored_pairs_costs(self, pair, radius, n,
+                                                         tau_grad):
+        # the right view's pass reads flipped views of the left pass's
+        # padded gradients and census codes in place of the terms of the
+        # mirrored images; every block's costs must agree byte for byte. A
+        # tau_grad above every gradient difference leaves that term
+        # untruncated.
+        left, right = pair
+        params = CostParams(census_radius=radius, tau_grad=tau_grad)
+        shared = mirrored_terms(cost_terms(left, right, params))
+        fresh = cost_terms(np.fliplr(right), np.fliplr(left), params)
+        shape = left.shape
+        for c0 in range(shape[1] + 1):
+            got, expected = (
+                cost_block(terms, params, c0, np.empty((n,) + shape),
+                           np.full((2,) + shape, np.nan))
+                for terms in (shared, fresh))
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestMatchCost:
