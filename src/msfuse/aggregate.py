@@ -16,15 +16,17 @@ Box sums take the four window corners of every pixel as plain slices of
 one array: the integral image (leading zero row and column) edge-padded
 by the radius r, whose row i is integral row clip(i - r, 0, H), columns
 alike, so windows clip to the image bounds with no index arithmetic. The
-integral is two in-place running sums (np.add.accumulate), down the
-columns and then along the rows: the same additions in the same order as
-cumsum.
+integral is two running sums (np.add.accumulate), down the columns from
+the source into the interior and then in place along the rows: the same
+additions in the same order as cumsum.
 
-Cost is filtered a block of at most BLOCK_BYTES of disparity slices at a
-time (filter_block): a (k, H, W) stack that lies in the interior of the
-padded integral buffer itself (scratch_block), so its first box sum
-integrates it where it lies, filtered in place with the (H, W) guide
-terms of guide_stats broadcast over the slices. Each slice's result is
+Cost is filtered a block of disparity slices at a time (filter_block):
+block_length slices, the fewest that hold at least BLOCK_BYTES, so one
+slice per block when a slice alone is that large. A block is a (k, H, W)
+stack that lies in the interior of the padded integral buffer itself
+(scratch_block), so its first box sum integrates it where it lies,
+filtered in place with the (H, W) guide terms of guide_stats broadcast
+over the slices. Each slice's result is
 bit-identical to filtering it alone, and the scratch is three buffers of
 about one block each, bounded by the block, not by the disparity range:
 the padded buffer and two temporaries. aggregate_cost copies the blocks
@@ -38,10 +40,11 @@ import numpy as np
 
 from .core import validate_image
 
-# Largest block of disparity slices filtered at once; its scratch is about
-# three blocks: the padded integral, which holds the block, and two
-# temporaries.
-BLOCK_BYTES = 2 << 20
+# Least size of a block of disparity slices filtered at once (see
+# block_length), so that each ufunc call on a block has cells enough to run
+# in parallel with another block's; its scratch is about three blocks: the
+# padded integral, which holds the block, and two temporaries.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,13 +74,23 @@ def _interior(padded, radius):
     return padded[..., lo : padded.shape[-2] - radius, lo : padded.shape[-1] - radius]
 
 
-def _integrated_box_sum(padded, radius, out=None):
-    """Windowed sums of the array held in the interior of ``padded``, which
-    is overwritten by its integral; ``out`` must not overlap ``padded``."""
+def _box_sum(img, radius, padded=None, out=None):
+    """Windowed sum over the window clipped to image bounds, of an image or
+    of every slice of a (k, H, W) stack: four slices of the edge-padded
+    integral image (O(1) per pixel; see the module doc).
+
+    The integral is built in ``padded`` (from _padded; reusable, as its top
+    and left borders are never written), integrating ``img`` from where it
+    lies: ``img`` may be the interior of ``padded``, which is then
+    overwritten by its integral. ``out`` may be ``img`` unless that is the
+    interior; it must not overlap ``padded`` otherwise.
+    """
+    if padded is None:
+        padded = _padded(img.shape, radius)
     lo, side = radius + 1, 2 * radius + 1
-    height, width = padded.shape[-2] - side, padded.shape[-1] - side
+    height, width = img.shape[-2:]
     integral = _interior(padded, radius)
-    np.add.accumulate(integral, axis=-2, out=integral)
+    np.add.accumulate(img, axis=-2, out=integral)
     np.add.accumulate(integral, axis=-1, out=integral)
     padded[..., lo : lo + height, lo + width :] = integral[..., -1:]
     padded[..., lo + height :, :] = padded[..., lo + height - 1, None, :]
@@ -87,20 +100,6 @@ def _integrated_box_sum(padded, radius, out=None):
     out -= padded[..., side:, :width]
     out += padded[..., :height, :width]
     return out
-
-
-def _box_sum(img, radius, padded=None, out=None):
-    """Windowed sum over the window clipped to image bounds, of an image or
-    of every slice of a (k, H, W) stack: four slices of the edge-padded
-    integral image (O(1) per pixel; see the module doc).
-
-    The integral is built in ``padded`` (from _padded; reusable, as its top
-    and left borders are never written). ``out`` may be ``img`` itself.
-    """
-    if padded is None:
-        padded = _padded(img.shape, radius)
-    _interior(padded, radius)[...] = img
-    return _integrated_box_sum(padded, radius, out)
 
 
 def window_counts(shape, radius):
@@ -115,8 +114,9 @@ def box_mean(img, radius):
 
 
 def block_length(shape):
-    """Disparity slices of an (H, W) image per block of BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * shape[0] * shape[1]))
+    """Disparity slices of an (H, W) image per block: the fewest float64
+    slices that hold BLOCK_BYTES, at least one."""
+    return -(-BLOCK_BYTES // (8 * shape[0] * shape[1]))
 
 
 def blocks(n, length):
@@ -164,7 +164,7 @@ def _filter(guide, scratch, stats, radius):
 
     The (H, W) guide and stats broadcast over the slices. W*p is taken
     first, then p is integrated where it lies for box(p); later box sums
-    copy their input into the interior. The interior then holds
+    integrate their input into the interior. The interior then holds
     mean_w*mean_p and a*mean_w, then the result. Every elementwise
     operation is the one of the textbook form, in its order, so each slice
     is filtered as if it were alone.
@@ -173,7 +173,7 @@ def _filter(guide, scratch, stats, radius):
     padded, mean_p, tmp = scratch
     p = _interior(padded, radius)
     np.multiply(guide, p, out=tmp)
-    _integrated_box_sum(padded, radius, mean_p)
+    _box_sum(p, radius, padded, mean_p)
     mean_p /= counts
     _box_sum(tmp, radius, padded, tmp)
     tmp /= counts

@@ -47,6 +47,12 @@ def _load(path):
         raise CliError(EXIT_IO, f"bad image {path}: {exc}")
 
 
+def _check_same_size(path_a, a, path_b, b):
+    if a.shape != b.shape:
+        raise CliError(EXIT_USAGE, f"image sizes differ: {path_a} is {a.shape}, "
+                                   f"{path_b} is {b.shape}")
+
+
 def _write_atomic(path, write):
     # write via a temp name so error paths leave no partial outputs
     tmp = path + ".tmp"
@@ -81,8 +87,7 @@ def cmd_reconstruct(args):
     config = _load_config(args.config)
     left = _load(args.left)
     right = _load(args.right)
-    if left.shape != right.shape:
-        raise CliError(EXIT_USAGE, f"image sizes differ: {left.shape} vs {right.shape}")
+    _check_same_size(args.left, left, args.right, right)
     try:
         rig = config.camera_rig(left.shape)
     except (ConfigError, ValueError) as exc:
@@ -115,8 +120,7 @@ def cmd_reconstruct(args):
 def cmd_eval_mask(args):
     pred = _load(args.pred)
     truth = _load(args.truth)
-    if pred.shape != truth.shape:
-        raise CliError(EXIT_USAGE, f"mask sizes differ: {pred.shape} vs {truth.shape}")
+    _check_same_size(args.pred, pred, args.truth, truth)
     counts = metrics.confusion(pred, truth)
     try:
         lines = [
@@ -127,8 +131,7 @@ def cmd_eval_mask(args):
         raise CliError(EXIT_NUMERIC, str(exc))
     if args.scores is not None:
         scores = _load(args.scores)
-        if scores.shape != truth.shape:
-            raise CliError(EXIT_USAGE, "scores size differs from truth")
+        _check_same_size(args.scores, scores, args.truth, truth)
         try:
             lines.append(f"auc={metrics.auc(scores, truth):.4f}")
         except metrics.UndefinedMetricError as exc:

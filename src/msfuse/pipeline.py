@@ -10,9 +10,10 @@ filter commutes with mirroring, so these equal the pyramids of the
 mirrored images up to solver roundoff.
 
 A view pass streams over disparity blocks of at most
-aggregate.BLOCK_BYTES, of lengths that differ by at most one, and never
-holds a (D, H, W) volume. Each scale's guide statistics are computed once
-per view, and each image's x-gradients and census codes once per run:
+aggregate.block_length slices (aggregate.BLOCK_BYTES rounded up to whole
+slices), of lengths that differ by at most one, and never holds a
+(D, H, W) volume. Each scale's guide statistics are computed once per
+view, and each image's x-gradients and census codes once per run:
 the mirrored pass reads the left pass's through np.fliplr
 (cost.mirrored_terms), which gives every cost of the mirrored images bit
 for bit. One window-count array serves every scale of both views. For
@@ -23,9 +24,12 @@ It is filtered there, clamped, weighted and added into the block's
 total: the same float operations, in the same order, as on whole
 volumes. A block task thus holds four block-sized buffers and no other
 scratch: the total, the padded buffer and the filter's two temporaries.
-The totals fold into a running winner (disparity.RunningWinner) in
-increasing disparity, so the result equals winner-take-all and subpixel
-refinement of the whole fused volume, bit for bit.
+It runs with numpy's ufunc buffers cut to UFUNC_BUFSIZE elements, in its
+own np.errstate scope: every strided call would otherwise allocate
+buffers of 8192 elements per operand. The totals fold into a running
+winner (disparity.RunningWinner) in increasing disparity, so the result
+equals winner-take-all and subpixel refinement of the whole fused
+volume, bit for bit.
 
 One thread pool (MSFUSE_THREADS, 0 = auto) runs both decompositions,
 then the blocks of both view passes, with no barrier between the passes.
@@ -45,6 +49,11 @@ import numpy as np
 
 from . import aggregate, cost, disparity, fusion, wls
 from .core import INVALID_DISPARITY, CostVolume
+
+# Elements of numpy's iteration buffer per operand in a block task; numpy's
+# default, 8192, makes every strided ufunc call on a block allocate 64 KiB
+# per float64 operand.
+UFUNC_BUFSIZE = 1024
 
 
 def thread_count():
@@ -145,8 +154,10 @@ def _view_pass(pool, inputs, shape, config, collect):
     minima = [np.full(shape, np.inf) for _ in inputs] if collect else []
 
     def block_task(c0, block_shape, previous):
-        total, block_minima = _fused_block(inputs, config, weights, c0,
-                                           block_shape, collect)
+        with np.errstate():  # scopes the buffer size to this task
+            np.setbufsize(UFUNC_BUFSIZE)
+            total, block_minima = _fused_block(inputs, config, weights, c0,
+                                               block_shape, collect)
         if previous is not None:
             previous.result()  # started before this task: running or done
         winner.fold(total)

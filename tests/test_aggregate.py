@@ -137,6 +137,19 @@ class TestBoxMean:
                 for k in range(3):
                     np.testing.assert_array_equal(got[k], _box_sum(stack[k], radius))
 
+    def test_in_place_integral_matches_copy(self):
+        # a stack that lies in the padded buffer's interior is integrated
+        # where it lies, with the additions of a box sum of a copy
+        rng = np.random.default_rng(44)
+        for shape in [(1, 1), (1, 6), (6, 1), (5, 9), (9, 4)]:
+            for radius in range(1, max(shape) + 3):
+                stack = rng.random((3,) + shape)
+                padded = aggregate._padded(stack.shape, radius)
+                interior = aggregate._interior(padded, radius)
+                interior[...] = stack
+                got = _box_sum(interior, radius, padded)
+                assert got.tobytes() == _box_sum(stack, radius).tobytes()
+
 
 class TestKernelWeight:
     def test_constant_guide_diagonal(self):
@@ -239,6 +252,15 @@ def test_blocks_tile_the_range_evenly(n, length):
     assert all(prev[1] == nxt[0] for prev, nxt in zip(plan, plan[1:]))
     sizes = [stop - start for start, stop in plan]
     assert max(sizes) <= length and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("width, height, slices", [
+    (160, 120, 7),  # 6.8 slices of BLOCK_BYTES, rounded up
+    (256, 192, 3),  # 2.7
+    (640, 480, 1),  # one slice alone is over BLOCK_BYTES
+])
+def test_block_length_rounds_up_to_whole_slices(width, height, slices):
+    assert aggregate.block_length((height, width)) == slices
 
 
 class TestAggregateCost:

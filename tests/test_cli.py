@@ -137,10 +137,24 @@ class TestEvalMask:
         ) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "auc=0.5000"
 
-    def test_size_mismatch_exit_1(self, tmp_path):
+    def test_size_mismatch_exit_1(self, tmp_path, capsys):
         self._write_mask(tmp_path / "p.pfm", np.zeros((2, 2)))
         self._write_mask(tmp_path / "t.pfm", np.zeros((2, 3)))
         assert run(["eval-mask", tmp_path / "p.pfm", tmp_path / "t.pfm"]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'p.pfm'} is (2, 2)" in err
+        assert f"{tmp_path / 't.pfm'} is (2, 3)" in err
+
+    def test_scores_size_mismatch_exit_1(self, tmp_path, capsys):
+        self._write_mask(tmp_path / "p.pfm", np.zeros((2, 3)))
+        self._write_mask(tmp_path / "t.pfm", np.eye(2, 3))
+        self._write_mask(tmp_path / "s.pfm", np.zeros((3, 2)))
+        assert run(
+            ["eval-mask", tmp_path / "p.pfm", tmp_path / "t.pfm", "--scores", tmp_path / "s.pfm"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 's.pfm'} is (3, 2)" in err
+        assert f"{tmp_path / 't.pfm'} is (2, 3)" in err
 
     def test_single_class_with_scores_exit_3(self, tmp_path):
         self._write_mask(tmp_path / "p.pfm", np.ones((3, 3)))
@@ -232,13 +246,16 @@ class TestReconstruct:
         ) == 1
         assert "bad config" in capsys.readouterr().err
 
-    def test_size_mismatch_exit_1(self, tmp_path):
+    def test_size_mismatch_exit_1(self, tmp_path, capsys):
         save_image(np.zeros((4, 4)), tmp_path / "a.pfm", format="pfm")
         save_image(np.zeros((4, 5)), tmp_path / "b.pfm", format="pfm")
         assert run(
             ["reconstruct", tmp_path / "a.pfm", tmp_path / "b.pfm",
              "--out-disparity", tmp_path / "d.pfm", "--out-cloud", tmp_path / "c.ply"]
         ) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'a.pfm'} is (4, 4)" in err
+        assert f"{tmp_path / 'b.pfm'} is (4, 5)" in err
 
     def test_thread_determinism(self, tmp_path, monkeypatch):
         left, right = self._gen_pair(tmp_path)

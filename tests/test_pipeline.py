@@ -166,14 +166,33 @@ def fused_block_calls(monkeypatch, config, size):
 def test_block_task_holds_four_blocks(monkeypatch):
     # the block total, and the filter's padded buffer (which holds the raw
     # block) and two temporaries, which the cost kernel borrows as its
-    # scratch: 4.135 blocks of 12 slices here. numpy's ufunc buffers (8192
-    # elements per operand of a strided call) bring it to 4.244 measured.
-    # Scratch of the cost kernel's own (1.125 slices per call) and the
-    # cost check's boolean temporaries read 4.34.
+    # scratch: 4.135 blocks of 7 slices here, 4.173 measured with numpy's
+    # ufunc buffers cut to pipeline.UFUNC_BUFSIZE. With numpy's default
+    # (8192 elements per operand of a strided call) it reads 4.352.
     config = PipelineConfig({"cost.d_max": 95})
     slice_bytes = 120 * 160 * 8
-    for _, n, rise in fused_block_calls(monkeypatch, config, (160, 120)):
-        assert rise < 4.3 * n * slice_bytes
+    calls = fused_block_calls(monkeypatch, config, (160, 120))
+    assert max(n for _, n, _ in calls) == 7  # 12 blocks of 7, 2 of 6
+    for _, n, rise in calls:
+        assert rise < 4.2 * n * slice_bytes
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_keeps_the_callers_numpy_settings(monkeypatch, threads):
+    monkeypatch.setenv("MSFUSE_THREADS", threads)
+    left, right, _ = random_dot_pair(48, 32, 5, 0)
+    settings = np.getbufsize(), np.geterr()
+    pipeline.run(left, right, PipelineConfig(STREAM_CONFIG))
+    assert (np.getbufsize(), np.geterr()) == settings
+
+
+def test_block_tasks_scope_their_buffer_size():
+    # a later task on the same worker, as a WLS solve may be, runs with
+    # numpy's default buffer size
+    left, right, _ = random_dot_pair(48, 32, 5, 0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        left_view_pass(pool, left, right, PipelineConfig(STREAM_CONFIG))
+        assert pool.submit(np.getbufsize).result() == np.getbufsize()
 
 
 def test_blocks_tile_the_disparity_range_evenly(monkeypatch):
