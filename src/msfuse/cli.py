@@ -93,9 +93,9 @@ def cmd_reconstruct(args):
     except (ConfigError, ValueError) as exc:
         raise CliError(EXIT_USAGE, str(exc))
 
-    collect = args.dump_dir is not None
     try:
-        d, valid, extras = pipeline.run(left, right, config, collect=collect)
+        d, valid, dump = pipeline.run(left, right, config,
+                                      collect=args.dump_dir is not None)
     except wls.SolverError as exc:
         raise CliError(EXIT_NUMERIC, str(exc))
 
@@ -103,17 +103,14 @@ def cmd_reconstruct(args):
     cloud = triangulate(d, rig, intensity=left)
     _write_atomic(args.out_cloud, lambda tmp: export_ply(cloud, tmp))
 
-    if collect:
+    if dump is not None:
         try:
             os.makedirs(args.dump_dir, exist_ok=True)
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot create {args.dump_dir}: {exc}")
-        join = lambda name: os.path.join(args.dump_dir, name)
-        for s in range(4):
-            _write_image(extras.pyramid_left[s], join(f"base_left_{s}.pfm"), "pfm")
-            _write_image(extras.pyramid_right[s], join(f"base_right_{s}.pfm"), "pfm")
-            _write_image(extras.agg_min[s], join(f"agg_min_{s}.pfm"), "pfm")
-        _write_image(valid.astype(np.float64), join("valid.pfm"), "pfm")
+        dump["valid"] = valid.astype(np.float64)
+        for name, image in dump.items():
+            _write_image(image, os.path.join(args.dump_dir, f"{name}.pfm"), "pfm")
     return EXIT_OK
 
 

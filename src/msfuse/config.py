@@ -1,11 +1,13 @@
 """Flat `key = value` pipeline configuration.
 
 Every stage tunable takes its name, type and default from the stage's
-parameter dataclass; unknown keys and values a stage rejects are fatal
-when the config is built, before any work. The canonical text form lists
-every key in a fixed order, so parse -> print -> parse is a fixed point.
+parameter dataclass; unknown keys, non-finite floats and values a stage
+rejects are fatal when the config is built, before any work. The
+canonical text form lists every key in a fixed order, so
+parse -> print -> parse is a fixed point.
 """
 
+import math
 from dataclasses import fields
 
 from .aggregate import GuidedFilterParams
@@ -17,7 +19,8 @@ from .wls import WlsParams
 
 
 class ConfigError(ValueError):
-    """Unknown key, bad syntax or an untypeable value."""
+    """Unknown key, bad syntax, an untypeable or non-finite value, or one a
+    stage rejects."""
 
 
 def _parse_bool(text):
@@ -66,7 +69,10 @@ class PipelineConfig:
                     value = _parse_bool(value) if typ is bool else typ(value)
                 except (ValueError, TypeError) as exc:
                     raise ConfigError(f"bad value for {key}: {value!r}") from exc
-            self.values[key] = typ(value)
+            value = typ(value)
+            if typ is float and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+            self.values[key] = value
         self._bundles = {}
         for prefix, cls in _PARAMS.items():
             kwargs = {f.name: self[f"{prefix}.{f.name}"] for f in fields(cls)}

@@ -128,18 +128,18 @@ def fill_invalid(d):
     """Fill invalid pixels with min(nearest valid left, nearest valid right)
     along the row; fully invalid rows stay invalid."""
     d = np.asarray(d, dtype=np.float64)
-    width = d.shape[1]
+    height, width = d.shape
     valid = d != INVALID_DISPARITY
     cols = np.arange(width)
-    # nearest valid column to the left/right of every position, per row
-    left_idx = np.maximum.accumulate(np.where(valid, cols, -1), axis=1)
-    right_idx = np.minimum.accumulate(np.where(valid, cols, width)[:, ::-1], axis=1)[:, ::-1]
-
-    left_val = np.take_along_axis(d, np.maximum(left_idx, 0), axis=1)
-    right_val = np.take_along_axis(d, np.minimum(right_idx, width - 1), axis=1)
-    fill = np.minimum(
-        np.where(left_idx >= 0, left_val, np.inf),
-        np.where(right_idx < width, right_val, np.inf),
-    )
-    keep = valid | ~valid.any(axis=1, keepdims=True)
-    return np.where(keep, d, fill)
+    # nearest valid column to the left/right of every position, per row; a
+    # valid pixel is its own nearest, and -1 and width mean "none"
+    left = np.maximum.accumulate(np.where(valid, cols, -1), axis=1)
+    right = np.minimum.accumulate(np.where(valid, cols, width)[:, ::-1], axis=1)[:, ::-1]
+    # d with a trailing inf column, which the indices -1 and width both read
+    padded = np.empty((height, width + 1))
+    padded[:, :width] = d
+    padded[:, width] = np.inf
+    fill = np.take_along_axis(padded, left, axis=1)
+    np.minimum(fill, np.take_along_axis(padded, right, axis=1), out=fill)
+    fill[left[:, -1] < 0] = INVALID_DISPARITY  # rows with no valid pixel
+    return fill

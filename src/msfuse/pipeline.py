@@ -31,19 +31,28 @@ winner (disparity.RunningWinner) in increasing disparity, so the result
 equals winner-take-all and subpixel refinement of the whole fused
 volume, bit for bit.
 
-One thread pool (MSFUSE_THREADS, 0 = auto) runs both decompositions,
-then the blocks of both view passes, with no barrier between the passes.
-The WLS solve takes no inner product from BLAS and makes its LAPACK line
-sweeps without the GIL, so the two decompositions run in parallel, and
-each one's result does not depend on the threads. A block task waits for
-the previous block's fold before folding its own, so the output is
-identical for every thread count, and at most one block total per
-worker is resident.
+One thread pool (MSFUSE_THREADS, 0 = auto) runs the stages, and every
+task receives resolved arrays: the two decompositions side by side, the
+left view's four scale inputs, then the left pass's blocks. The mirrored
+pass's scale inputs, made from the left inputs' cost terms, queue behind
+those blocks, and the right pass's blocks are queued once they are done;
+the left blocks keep the workers busy until then, so there is no barrier
+between the passes. The WLS solve takes no inner product from BLAS and
+makes its LAPACK line sweeps without the GIL, so the two decompositions
+run in parallel, and each one's result does not depend on the threads.
+The one wait inside a task is a block task's wait for the previous
+block's fold before folding its own, so the output is identical for
+every thread count, and at most one block total per worker is resident.
+Both disparities are read off the passes' running winners, and the
+pyramids, scale inputs and winners are dropped before the left-right
+check and the fill. With ``collect``, run also returns the pyramids and
+the left pass's per-scale cost minima, under the names that
+``reconstruct --dump-dir`` gives their files.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,15 +82,6 @@ def thread_count():
     return n
 
 
-@dataclass
-class ScaleOutputs:
-    """Per-scale intermediates kept for dumping/inspection."""
-
-    pyramid_left: list
-    pyramid_right: list
-    agg_min: list  # 4 left-view aggregated costs, minimum over disparity
-
-
 def _scale_inputs(ref, other, config, counts):
     """What every disparity block of one scale reads: the cost terms (the
     first is the validated guide) and the guide statistics, which hold the
@@ -91,12 +91,12 @@ def _scale_inputs(ref, other, config, counts):
                                         counts)
 
 
-def _mirrored_scale_inputs(unmirrored, config, counts):
-    """_scale_inputs of the mirrored pair (fliplr R, fliplr L), whose cost
-    terms are flipped views of the unmirrored pass's: its x-gradients and
-    census codes are shared, not recomputed (see cost.mirrored_terms)."""
-    # queued before: running or done
-    terms = cost.mirrored_terms(unmirrored.result()[0])
+def _mirrored_scale_inputs(terms, config, counts):
+    """_scale_inputs of the mirrored pair (fliplr R, fliplr L), from the
+    unmirrored pass's cost ``terms``, whose flipped views they are: its
+    x-gradients and census codes are shared, not recomputed (see
+    cost.mirrored_terms)."""
+    terms = cost.mirrored_terms(terms)
     return terms, aggregate.guide_stats(terms[0], config.guided_filter_params(),
                                         counts)
 
@@ -119,8 +119,7 @@ def _fused_block(inputs, config, weights, c0, shape, collect):
     block = aggregate.scratch_block(scratch, gf_params.radius)
     work = (scratch[1][0], scratch[2][0])
     minima = []
-    for s, scale in enumerate(inputs):
-        terms, stats = scale.result()
+    for s, (terms, stats) in enumerate(inputs):
         cost.cost_block(terms, cost_params, c0, block, work)
         CostVolume(d_min=c0, d_max=d_max, data=block)  # checks the costs
         aggregate.filter_block(terms[0], stats, gf_params, scratch)
@@ -137,16 +136,16 @@ def _fused_block(inputs, config, weights, c0, shape, collect):
 
 def _view_pass(pool, inputs, shape, config, collect):
     """Queue one task per disparity block of a view pass over (H, W) images
-    ``shape`` that reads the per-scale ``inputs`` (futures of
-    _scale_inputs). Returns a function that waits for the pass and returns
-    (disparity, per-scale aggregated-cost minima | None).
+    ``shape`` that reads the per-scale ``inputs``, as _scale_inputs returns
+    them. Returns a function that waits for the pass and returns its
+    disparity.RunningWinner and the per-scale aggregated-cost minima
+    (empty unless ``collect``).
 
     The disparities are split into aggregate.blocks of at most
     aggregate.block_length slices whose lengths differ by at most one, so no
     short last block leaves its worker waiting. Each block task folds its
     total into the running winner once the previous block has, so blocks
-    fold in disparity order whatever the thread count. The inputs live as
-    long as the tasks that read them.
+    fold in disparity order whatever the thread count.
     """
     cost_params = config.cost_params()
     weights = fusion.finest_weights(config.fusion_params())
@@ -172,48 +171,52 @@ def _view_pass(pool, inputs, shape, config, collect):
 
     def finish():
         last.result()
-        d = winner.disparity(cost_params.d_min, config.disparity_params().subpixel)
-        return d, minima if collect else None
+        return winner, minima
 
     return finish
-
-
-def _view_passes(pool, pyr_l, pyr_r, config, collect):
-    """Queue the left view pass, then the right one on the mirrored
-    pyramids with the camera roles swapped, which reads the left pass's
-    x-gradients and census codes mirrored; one window-count array serves
-    both. Returns the two passes' finish functions (see _view_pass)."""
-    shape = pyr_l[0].shape
-    counts = aggregate.window_counts(shape, config.guided_filter_params().radius)
-    left = [pool.submit(_scale_inputs, l, r, config, counts)
-            for l, r in zip(pyr_l, pyr_r)]
-    finish_left = _view_pass(pool, left, shape, config, collect)
-    right = [pool.submit(_mirrored_scale_inputs, f, config, counts) for f in left]
-    return finish_left, _view_pass(pool, right, shape, config, False)
 
 
 def run(left, right, config, collect=False):
     """Full pipeline: both decompositions, left disparity, mirrored right
     disparity, left-right consistency and invalid fill. MSFUSE_THREADS
-    sizes the pool that runs the decompositions and the disparity blocks
-    of both view passes (see thread_count).
+    sizes the pool that runs the decompositions, the scale inputs and the
+    disparity blocks of both view passes (see thread_count).
 
-    Returns (disparity_map, validity_mask, ScaleOutputs | None).
+    Returns (disparity_map, validity_mask, dump | None). With ``collect``,
+    dump maps the names base_left_s, base_right_s (the pyramids) and
+    agg_min_s (the left view's aggregated cost, minimum over disparity),
+    s = 0..3, to images.
     """
+    d_min = config.cost_params().d_min
     disp_params = config.disparity_params()
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        pyramids = [pool.submit(wls.decompose, image, config.wls_params())
-                    for image in (left, right)]
-        pyr_l, pyr_r = (f.result() for f in pyramids)
-        # both passes are queued before either is awaited: no barrier
-        passes = _view_passes(pool, pyr_l, pyr_r, config, collect)
-        (d_left, agg_min), (d_right_mirrored, _) = (finish() for finish in passes)
-    d_right = np.fliplr(d_right_mirrored)
+        pyr_l, pyr_r = pool.map(wls.decompose, (left, right),
+                                [config.wls_params()] * 2)
+        shape = pyr_l[0].shape
+        counts = aggregate.window_counts(shape, config.guided_filter_params().radius)
+        inputs = list(pool.map(partial(_scale_inputs, config=config, counts=counts),
+                               pyr_l, pyr_r))
+        finish_left = _view_pass(pool, inputs, shape, config, collect)
+        # queued behind the left blocks, which keep the workers busy until
+        # the right blocks are queued
+        inputs = list(pool.map(
+            partial(_mirrored_scale_inputs, config=config, counts=counts),
+            [terms for terms, _ in inputs]))
+        finish_right = _view_pass(pool, inputs, shape, config, False)
+        (winner_l, minima), (winner_r, _) = finish_left(), finish_right()
+    d_left = winner_l.disparity(d_min, disp_params.subpixel)
+    d_right = np.fliplr(winner_r.disparity(d_min, disp_params.subpixel))
+    dump = None
+    if collect:
+        stacks = (("base_left", pyr_l), ("base_right", pyr_r), ("agg_min", minima))
+        dump = {f"{name}_{s}": image for name, stack in stacks
+                for s, image in enumerate(stack)}
+    # the consistency check and the fill read none of the passes' arrays
+    del pyr_l, pyr_r, counts, inputs, finish_left, finish_right, winner_l, winner_r
 
     d = disparity.lr_consistency(d_left, d_right, disp_params.lr_threshold)
     valid = d != INVALID_DISPARITY
     if disp_params.fill_invalid:
         d = disparity.fill_invalid(d)
-    extras = ScaleOutputs(pyr_l, pyr_r, agg_min) if collect else None
-    return d, valid, extras
+    return d, valid, dump

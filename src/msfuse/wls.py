@@ -111,6 +111,8 @@ class WlsParams:
             raise ValueError("eps_w must be > 0")
         if self.solver_tol <= 0:
             raise ValueError("solver_tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 def smoothness_weights(guide, params):

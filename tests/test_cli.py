@@ -227,7 +227,12 @@ class TestReconstruct:
         assert not (tmp_path / "c.ply").exists()
 
     @pytest.mark.parametrize(
-        "text", ["cost.d_min = 5\ncost.d_max = 2\n", "cost.census_radius = 4\n"]
+        "text", ["cost.d_min = 5\ncost.d_max = 2\n", "cost.census_radius = 4\n",
+                 "wls.max_iter = 0\n",
+                 # unfiltered base layers, 10000 CG iterations per solve, and
+                 # a fault after the decompositions, were they accepted
+                 "wls.solver_tol = inf\n", "wls.solver_tol = nan\n",
+                 "fusion.zeta = nan\n"]
     )
     def test_bad_stage_params_exit_1_before_work(
         self, tmp_path, monkeypatch, capsys, text

@@ -5,6 +5,9 @@ import pytest
 
 from msfuse.config import ConfigError, PipelineConfig
 
+FLOAT_KEYS = [key for key, value in PipelineConfig().values.items()
+              if type(value) is float]
+
 
 class TestParsing:
     def test_defaults(self):
@@ -33,6 +36,14 @@ class TestParsing:
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             PipelineConfig.parse("wls.eta = fast\n")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_fatal(self, key, text):
+        with pytest.raises(ConfigError, match="finite"):
+            PipelineConfig.parse(f"{key} = {text}\n")
+        with pytest.raises(ConfigError, match="finite"):
+            PipelineConfig({key: float(text)})
 
     def test_bad_syntax(self):
         with pytest.raises(ConfigError):

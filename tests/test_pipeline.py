@@ -1,8 +1,10 @@
+import gc
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -68,13 +70,50 @@ def test_run_equals_whole_volume_reference(stream_case, monkeypatch, threads,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        d, valid, extras = pipeline.run(left, right, config, collect=True)
+        d, valid, dump = pipeline.run(left, right, config, collect=True)
     finally:
         sys.setswitchinterval(interval)
     assert d.tobytes() == d_ref.tobytes()
     np.testing.assert_array_equal(valid, valid_ref)
-    for got, expected in zip(extras.agg_min, minima_ref):
-        assert got.tobytes() == expected.tobytes()
+    assert set(dump) == {f"{name}_{s}" for name in ("base_left", "base_right", "agg_min")
+                         for s in range(4)}
+    for s, expected in enumerate(minima_ref):
+        assert dump[f"agg_min_{s}"].tobytes() == expected.tobytes()
+
+
+def test_run_frees_the_passes_before_the_lr_check(monkeypatch):
+    # pyramid levels 1-3 and both running winners are freed by reference
+    # counting before the consistency check and the fill: with the cyclic
+    # collector off, a reference cycle or a lingering name keeps them alive
+    refs = []
+    decompose, lr_consistency = wls.decompose, disparity.lr_consistency
+
+    def recording(image, params):
+        layers = decompose(image, params)
+        refs.extend(weakref.ref(layer) for layer in layers[1:])
+        return layers
+
+    class RecordedWinner(disparity.RunningWinner):
+        def __init__(self, shape):
+            super().__init__(shape)
+            refs.append(weakref.ref(self))
+
+    alive = []
+
+    def checking(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return lr_consistency(*args)
+
+    monkeypatch.setattr(wls, "decompose", recording)
+    monkeypatch.setattr(disparity, "RunningWinner", RecordedWinner)
+    monkeypatch.setattr(disparity, "lr_consistency", checking)
+    left, right, _ = random_dot_pair(48, 32, 5, 0)
+    gc.disable()
+    try:
+        pipeline.run(left, right, PipelineConfig(STREAM_CONFIG))
+    finally:
+        gc.enable()
+    assert len(refs) == 8 and alive == [0]
 
 
 def test_dumped_minima_equal_reference(tmp_path):
@@ -97,12 +136,11 @@ def test_dumped_minima_equal_reference(tmp_path):
 
 
 def left_view_pass(pool, left, right, config):
-    """The left view's disparity from one view pass over the pyramids
+    """The left view's running winner from one view pass over the pyramids
     [left] * 4 and [right] * 4, its blocks run on ``pool``."""
     counts = aggregate.window_counts(left.shape, config.guided_filter_params().radius)
-    inputs = [pool.submit(pipeline._scale_inputs, left, right, config, counts)
-              for _ in range(4)]
-    return pipeline._view_pass(pool, inputs, left.shape, config, False)()
+    inputs = [pipeline._scale_inputs(left, right, config, counts) for _ in range(4)]
+    return pipeline._view_pass(pool, inputs, left.shape, config, False)()[0]
 
 
 def view_pass_peak(n_disp):
