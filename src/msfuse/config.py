@@ -64,12 +64,12 @@ class PipelineConfig:
             if key not in _SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
             typ, _ = _SCHEMA[key]
-            if isinstance(value, str):
-                try:
-                    value = _parse_bool(value) if typ is bool else typ(value)
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(f"bad value for {key}: {value!r}") from exc
-            value = typ(value)
+            try:
+                if isinstance(value, str) and typ is bool:
+                    value = _parse_bool(value)
+                value = typ(value)  # int(inf) raises OverflowError
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ConfigError(f"bad value for {key}: {value!r}") from exc
             if typ is float and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
             self.values[key] = value

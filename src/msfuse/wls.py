@@ -28,6 +28,16 @@ the guide's edges and are strongly anisotropic along them:
   is one ``dpttrs`` call over all lines of a direction.
 On the benchmark's 8-bit 256x192 random-dot images CG needs 18/28/10
 iterations per level (linear interpolation with point Jacobi: 145/96/31).
+
+Every level's operator is a scipy ``dia_matrix`` with its bands in
+increasing offset order: the five bands -W, -1, 0, 1, W of I + eta*A,
+built directly (``build_system``), and the nine of each Galerkin level's
+3x3 stencil. Diagonal storage holds no column indices and its product runs
+unit-stride loops over whole bands (Bell & Garland, SC 2009): the finest
+operator takes 5 image-sized arrays, against 8 in CSR. The product adds
+the bands in order, as a CSR row with sorted columns is summed, so the
+finest products are those of the CSR assembly to the bit. Only the
+Galerkin product P'AP takes a transient CSR copy of the level it coarsens.
 The sweeps call LAPACK through the function pointer that
 ``scipy.linalg.cython_lapack`` exports, with ctypes, which releases the GIL
 (scipy's f2py wrappers hold it), so the two views' concurrent
@@ -41,6 +51,7 @@ thread server.
 """
 
 import ctypes
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -105,6 +116,9 @@ class WlsParams:
     max_iter: int = 10000
 
     def __post_init__(self):
+        for name in ("eta", "alpha", "eps_w", "solver_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
         if self.eps_w <= 0:
@@ -128,44 +142,66 @@ def smoothness_weights(guide, params):
 
 
 def build_laplacian(guide, params):
-    """Assemble the weighted 5-point Laplacian A = Dx'*Lx*Dx + Dy'*Ly*Dy.
+    """The weighted 5-point Laplacian A = Dx'*Lx*Dx + Dy'*Ly*Dy of the
+    guide, as a dia_matrix (``_banded``). Every row sums to 0: A annihilates
+    constants."""
+    return _banded(guide, params, 1.0, 0.0)
+
+
+def build_system(guide, params):
+    """The filter's SPD operator I + eta*A, A the guide's ``build_laplacian``,
+    built directly into its bands (``_banded``)."""
+    return _banded(guide, params, params.eta, 1.0)
+
+
+def _banded(guide, params, eta, identity):
+    """identity*I + eta*A as a dia_matrix whose bands have the increasing
+    offsets -width, -1, 0, 1, width; a grid of one row (column) has no y (x)
+    edges, and their bands are left out. The product sums the bands in this
+    order, as a CSR row with sorted columns is summed.
 
     Dx/Dy are the forward differences of ``gradient`` (zero at the trailing
-    border), so A is five diagonals: each edge q -> q+1 (q -> q+width) of
-    weight lam_x(q) (lam_y(q)) puts -lam off the diagonal and +lam on the
-    diagonal of both ends. Every row sums to 0: A annihilates constants.
+    border), so each edge q -> q+1 (q -> q+width) of weight lam_x(q)
+    (lam_y(q)) puts -lam off the diagonal and +lam on the diagonal of both
+    ends. scipy stores entry a[j - offset, j] of a band at column j: the
+    flat weights of the edges to each pixel's right / lower neighbour (none
+    from the last column / row), padded in front by one step, are the band
+    above the diagonal, and without the pad the band below it.
     """
     guide = validate_image(guide)
     height, width = guide.shape
     n = height * width
     lam_x, lam_y = smoothness_weights(guide, params)
-
-    # Flat weight of the edge from each pixel to its right / lower neighbour
-    # (none from the last column / row), padded in front so that the edge
-    # from the left / upper neighbour is the same array shifted by one step.
     lam_x[:, -1] = 0.0
     lam_y[-1] = 0.0
     right = np.concatenate(([0.0], lam_x.ravel()))
     down = np.concatenate((np.zeros(width), lam_y.ravel()))
-    diagonal = (right[:-1] + right[1:]) + (down[:-width] + down[width:])
 
-    offsets, bands = [0], [diagonal]
+    edges = {}
     if width > 1:
-        offsets += [1, -1]
-        bands += [-right[1:-1]] * 2
+        edges[-1], edges[1] = right[1:], right[:-1]
     if height > 1:
-        offsets += [width, -width]
-        bands += [-down[width:-width]] * 2
-    return sp.diags(bands, offsets, shape=(n, n), format="csr")
+        edges[-width], edges[width] = down[width:], down[:-width]
+    offsets = sorted([0, *edges])
+    data = np.empty((len(offsets), n))
+    for band, offset in zip(data, offsets):
+        if offset:
+            np.multiply(edges[offset], -eta, out=band)
+        else:
+            diagonal = (right[:-1] + right[1:]) + (down[:-width] + down[width:])
+            np.multiply(diagonal, eta, out=band)
+            band += identity
+    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
 def _coupling(a, shape, dy, dx):
     """Entries a[q, q'] from each point q of the ``shape`` grid to its
     (dy, dx) neighbour q', as a grid; zero where q' is off the grid.
 
-    Read from one band of ``a``: a band of offset dy*width + dx also holds
-    couplings that wrap round a row end (on a width-2 grid the east and the
-    south-west offset are both 1), so the off-grid column is zeroed.
+    Read from one band of the dia_matrix ``a``, which ``diagonal`` returns
+    as a view: a band of offset dy*width + dx also holds couplings that wrap
+    round a row end (on a width-2 grid the east and the south-west offset
+    are both 1), so the off-grid column is zeroed.
     """
     height, width = shape
     n = height * width
@@ -286,8 +322,9 @@ def _line_sweep(d, e, b):
 
 
 def multigrid_preconditioner(system, shape):
-    """One symmetric V-cycle for the SPD ``system`` on a ``shape`` grid, as
-    a function of a 1-D residual, which it does not write into.
+    """One symmetric V-cycle for the SPD ``system`` on a ``shape`` grid, a
+    dia_matrix with its bands in increasing offset order (``build_system``),
+    as a function of a 1-D residual, which it does not write into.
 
     Level l+1 is the Galerkin product P'A_lP, P the operator-dependent
     interpolation (``_operator_interpolation``) from the grid of even rows
@@ -306,22 +343,70 @@ def multigrid_preconditioner(system, shape):
 def _levels(system, shape):
     """The V-cycle's levels above the direct solve, a flat list (no
     reference cycle), and the LU factors of the coarsest grid. A level is
-    (A, P, P', shape, buffer, sweeps), P' the CSC view ``p.T`` of P's
-    arrays, whose products sum as a CSR copy's do; only the Galerkin product
-    takes that copy. Both line sweeps solve in ``buffer``, the first unknowns
-    of one buffer that all levels share, which holds nothing of a level
-    while the coarser levels run."""
-    levels = []
-    a = system.tocsr()
-    shared = np.empty(a.shape[0])
+    (A, P, P', shape, buffer, sweeps): A a dia_matrix, the finest one
+    ``system`` itself, P' the CSC view ``p.T`` of P's arrays, whose products
+    sum as a CSR copy's do. Both line sweeps solve in ``buffer``, the first
+    unknowns of one buffer that all levels share, which holds nothing of a
+    level while the coarser levels run.
+
+    Each level forms its P and its coarse operator before its line factors,
+    and the shared buffer is taken last, so that the setup's largest
+    transient, the finest operator's CSR copy and AP in ``_galerkin``, stays
+    below the peak of the solve."""
+    grids = []
+    a = system
     while a.shape[0] > COARSEST_UNKNOWNS:
         p = _operator_interpolation(a, shape)
-        buffer = shared[:a.shape[0]]
-        sweeps = [_line_sweep(d, e, buffer) for d, e in _line_factors(a, shape)]
-        levels.append((a, p, p.T, shape, buffer, sweeps))
-        a = p.T.tocsr() @ a @ p
-        shape = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
+        coarse_shape = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
+        coarse = _galerkin(a, p, coarse_shape)
+        grids.append((a, p, shape, _line_factors(a, shape)))
+        a, shape = coarse, coarse_shape
+    shared = np.empty(system.shape[0])
+    levels = []
+    for a_l, p, shape_l, factors in grids:
+        buffer = shared[:a_l.shape[0]]
+        sweeps = [_line_sweep(d, e, buffer) for d, e in factors]
+        levels.append((a_l, p, p.T, shape_l, buffer, sweeps))
     return levels, splu(a.tocsc())
+
+
+def _galerkin(a, p, shape):
+    """The coarse operator P'AP on the ``shape`` grid, as a dia_matrix of its
+    nine bands, of offsets dy*width + dx for dy, dx in -1, 0, 1, increasing;
+    fewer where two coincide or one leaves the grid. Each band is read off
+    the CSR product. AP is formed first, from a transient CSR copy of ``a``
+    (``_csr``), which is freed before the product takes P' as a CSR copy."""
+    ap = _csr(a) @ p
+    product = p.T.tocsr() @ ap
+    del ap
+    height, width = shape
+    n = height * width
+    offsets = sorted({dy * width + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+                      if abs(dy * width + dx) < n})
+    data = np.zeros((len(offsets), n))
+    for band, offset in zip(data, offsets):
+        band[max(offset, 0):n + min(offset, 0)] = product.diagonal(offset)
+    return sp.dia_matrix((data, offsets), shape=(n, n))
+
+
+def _csr(a):
+    """CSR copy of the dia_matrix ``a`` with one entry per band in every row,
+    in the bands' order; a band's entry that falls off the matrix is an
+    explicit zero in the row's own column. Built in numpy, so that its
+    memory does not depend on the scipy release: older releases convert DIA
+    to CSR through COO, at about twice the memory.
+    """
+    n = a.shape[0]
+    rows = np.arange(n, dtype=np.int32)
+    data = np.zeros((n, len(a.offsets)))
+    indices = np.empty((n, len(a.offsets)), dtype=np.int32)
+    for k, offset in enumerate(a.offsets):
+        first, stop = max(-offset, 0), n - max(offset, 0)  # rows on the matrix
+        data[first:stop, k] = a.data[k, first + offset:stop + offset]
+        indices[:, k] = rows
+        indices[first:stop, k] += offset
+    indptr = np.arange(0, data.size + 1, len(a.offsets), dtype=np.int32)
+    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=a.shape)
 
 
 def _relax(level, r, x, axis):
@@ -335,9 +420,15 @@ def _relax(level, r, x, axis):
         x += buffer
         return
     columns = buffer.reshape(width, height)
-    np.copyto(columns, (r - a @ x).reshape(height, width).T)
+    np.copyto(columns, _residual(a, r, x).reshape(height, width).T)
     sweeps[1]()
     x += columns.T.ravel()
+
+
+def _residual(a, r, x):
+    """r - Ax, written into the product's array."""
+    residual = a @ x
+    return np.subtract(r, residual, out=residual)
 
 
 def _vcycle(levels, coarsest, r, depth=0):
@@ -350,7 +441,7 @@ def _vcycle(levels, coarsest, r, depth=0):
     sweeps[0]()
     x = buffer.copy()
     _relax(level, r, x, 1)
-    x += p @ _vcycle(levels, coarsest, restrict @ (r - a @ x), depth + 1)
+    x += p @ _vcycle(levels, coarsest, restrict @ _residual(a, r, x), depth + 1)
     _relax(level, r, x, 1)
     _relax(level, r, x, 0)
     return x
@@ -392,6 +483,7 @@ def cg(system, b, x0, *, rtol, atol, maxiter, M, callback=None):
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
+        del z, q  # not held through the next V-cycle
         if callback is not None:
             callback(x)
     return x, maxiter
@@ -408,15 +500,12 @@ def wls_filter(h, params):
     if params.eta == 0.0:
         return h.copy()
 
-    # one expression, so that A itself is not held through the solve
-    system = (sp.eye(h.size, format="csr")
-              + params.eta * build_laplacian(h, params)).tocsr()
-
     b = h.ravel()
     b_norm = _norm(b)
     if b_norm == 0.0:
         return np.zeros_like(h)
 
+    system = build_system(h, params)
     precond = multigrid_preconditioner(system, h.shape)
     iterations = 0
 

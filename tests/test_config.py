@@ -36,6 +36,10 @@ class TestParsing:
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             PipelineConfig.parse("wls.eta = fast\n")
+        # a non-finite float for an int key, given as a number, not text
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="cost.d_max"):
+                PipelineConfig({"cost.d_max": value})
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
