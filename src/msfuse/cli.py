@@ -35,7 +35,7 @@ def _load_config(path):
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read config: {exc}")
     except ConfigError as exc:
-        raise CliError(EXIT_USAGE, f"bad config: {exc}")
+        raise CliError(EXIT_USAGE, f"bad config {path}: {exc}")
 
 
 def _load(path):

@@ -5,6 +5,8 @@ when loaded from integer formats). Validation helpers enforce the
 finiteness/shape invariants shared by every downstream module.
 """
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -124,9 +126,7 @@ def _load_pgm_body(f):
     if maxval not in (255, 65535):
         raise FormatError(f"unsupported PGM maxval {maxval}")
     dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
-    raw = f.read(width * height * dtype.itemsize)
-    if len(raw) != width * height * dtype.itemsize:
-        raise FormatError("truncated PGM payload")
+    raw = _read_payload(f, width * height * dtype.itemsize, "PGM")
     data = np.frombuffer(raw, dtype=dtype).reshape(height, width)
     return data.astype(np.float64) / maxval
 
@@ -140,14 +140,25 @@ def _load_pfm_body(f):
     if scale == 0 or not np.isfinite(scale):
         raise FormatError("PFM scale must be finite and nonzero")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
-    raw = f.read(width * height * 4)
-    if len(raw) != width * height * 4:
-        raise FormatError("truncated PFM payload")
+    raw = _read_payload(f, width * height * 4, "PFM")
     data = np.frombuffer(raw, dtype=dtype).reshape(height, width)
     if not np.isfinite(data).all():
         raise FormatError("PFM contains non-finite samples")
     # PFM stores rows bottom-to-top.
     return validate_image(np.flipud(data))
+
+
+def _read_payload(f, size, kind):
+    """The ``size`` payload bytes of a ``kind`` image. A regular file's
+    length is checked first, so that a header claiming more than the file
+    holds fails before the read allocates the claim."""
+    info = os.fstat(f.fileno())
+    if stat.S_ISREG(info.st_mode) and size > info.st_size - f.tell():
+        raise FormatError(f"truncated {kind} payload")
+    raw = f.read(size)
+    if len(raw) != size:
+        raise FormatError(f"truncated {kind} payload")
+    return raw
 
 
 def save_image(img, path, format="pfm"):

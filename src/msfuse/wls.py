@@ -30,14 +30,17 @@ On the benchmark's 8-bit 256x192 random-dot images CG needs 18/28/10
 iterations per level (linear interpolation with point Jacobi: 145/96/31).
 
 Every level's operator is a scipy ``dia_matrix`` with its bands in
-increasing offset order: the five bands -W, -1, 0, 1, W of I + eta*A,
-built directly (``build_system``), and the nine of each Galerkin level's
-3x3 stencil. Diagonal storage holds no column indices and its product runs
-unit-stride loops over whole bands (Bell & Garland, SC 2009): the finest
-operator takes 5 image-sized arrays, against 8 in CSR. The product adds
-the bands in order, as a CSR row with sorted columns is summed, so the
-finest products are those of the CSR assembly to the bit. Only the
-Galerkin product P'AP takes a transient CSR copy of the level it coarsens.
+increasing offset order, written from its coupling grids, one per stencil
+neighbour, by one function (``_dia``, the inverse of ``_coupling``): the
+five bands -W, -1, 0, 1, W of I + eta*A (``build_system``), and the nine
+of each Galerkin level's 3x3 stencil. Diagonal storage holds no column
+indices and its product runs unit-stride loops over whole bands (Bell &
+Garland, SC 2009): the finest operator takes 5 image-sized arrays, against
+8 in CSR. The product adds the bands in order, as a CSR row with sorted
+columns is summed, so the finest products are those of the CSR assembly to
+the bit. The Galerkin operator P'AP is read off nine probe products, one
+per colour of coarse points (Curtis, Powell & Reid 1974), each made of the
+three products a V-cycle makes: no sparse matrix product and no CSR copy.
 The sweeps call LAPACK through the function pointer that
 ``scipy.linalg.cython_lapack`` exports, with ctypes, which releases the GIL
 (scipy's f2py wrappers hold it), so the two views' concurrent
@@ -141,56 +144,57 @@ def smoothness_weights(guide, params):
     return lam_x, lam_y
 
 
-def build_laplacian(guide, params):
-    """The weighted 5-point Laplacian A = Dx'*Lx*Dx + Dy'*Ly*Dy of the
-    guide, as a dia_matrix (``_banded``). Every row sums to 0: A annihilates
-    constants."""
-    return _banded(guide, params, 1.0, 0.0)
-
-
 def build_system(guide, params):
-    """The filter's SPD operator I + eta*A, A the guide's ``build_laplacian``,
-    built directly into its bands (``_banded``)."""
-    return _banded(guide, params, params.eta, 1.0)
-
-
-def _banded(guide, params, eta, identity):
-    """identity*I + eta*A as a dia_matrix whose bands have the increasing
-    offsets -width, -1, 0, 1, width; a grid of one row (column) has no y (x)
-    edges, and their bands are left out. The product sums the bands in this
-    order, as a CSR row with sorted columns is summed.
+    """The filter's SPD operator I + eta*A as a dia_matrix (``_dia``), A the
+    weighted 5-point Laplacian Dx'*Lx*Dx + Dy'*Ly*Dy of the guide.
 
     Dx/Dy are the forward differences of ``gradient`` (zero at the trailing
     border), so each edge q -> q+1 (q -> q+width) of weight lam_x(q)
-    (lam_y(q)) puts -lam off the diagonal and +lam on the diagonal of both
-    ends. scipy stores entry a[j - offset, j] of a band at column j: the
-    flat weights of the edges to each pixel's right / lower neighbour (none
-    from the last column / row), padded in front by one step, are the band
-    above the diagonal, and without the pad the band below it.
+    (lam_y(q)) puts -eta*lam between its ends and +eta*lam on the diagonal
+    of both: the couplings to the east (south) are the weights of the edges
+    from each pixel, those to the west (north) the weights of the edges into
+    it, none across the border.
     """
     guide = validate_image(guide)
-    height, width = guide.shape
-    n = height * width
-    lam_x, lam_y = smoothness_weights(guide, params)
-    lam_x[:, -1] = 0.0
-    lam_y[-1] = 0.0
-    right = np.concatenate(([0.0], lam_x.ravel()))
-    down = np.concatenate((np.zeros(width), lam_y.ravel()))
+    east, south = smoothness_weights(guide, params)
+    east[:, -1] = 0.0
+    south[-1] = 0.0
+    west, north = np.zeros_like(east), np.zeros_like(south)
+    west[:, 1:] = east[:, :-1]
+    north[1:] = south[:-1]
+    centre = ((west + east) + (north + south)) * params.eta + 1.0
+    for c in (west, east, north, south):
+        c *= -params.eta
+    return _dia({(0, 0): centre, (0, -1): west, (0, 1): east,
+                 (-1, 0): north, (1, 0): south}, guide.shape)
 
-    edges = {}
-    if width > 1:
-        edges[-1], edges[1] = right[1:], right[:-1]
-    if height > 1:
-        edges[-width], edges[width] = down[width:], down[:-width]
-    offsets = sorted([0, *edges])
-    data = np.empty((len(offsets), n))
-    for band, offset in zip(data, offsets):
-        if offset:
-            np.multiply(edges[offset], -eta, out=band)
-        else:
-            diagonal = (right[:-1] + right[1:]) + (down[:-width] + down[width:])
-            np.multiply(diagonal, eta, out=band)
-            band += identity
+
+def _dia(couplings, shape):
+    """The dia_matrix of the ``couplings`` on a ``shape`` grid, the inverse
+    of ``_coupling``: a dict of grids, the one of key (dy, dx) holding
+    a[q, q'] at each point q for its (dy, dx) neighbour q', zero where q'
+    is off the grid.
+
+    The grid goes into the band of offset dy*width + dx, which scipy stores
+    at column q' = q + offset. Grids whose offsets coincide sum into one band
+    (on a width-2 grid the east and the south-west offset are both 1), a
+    band off the matrix is left out, and the offsets increase: the product
+    sums the bands in this order, as a CSR row with sorted columns is
+    summed.
+    """
+    height, width = shape
+    n = height * width
+    offsets = sorted({dy * width + dx for dy, dx in couplings
+                      if abs(dy * width + dx) < n})
+    data = np.zeros((len(offsets), n))
+    for (dy, dx), c in couplings.items():
+        offset = dy * width + dx
+        if offset in offsets:
+            band = data[offsets.index(offset)]
+            if offset >= 0:
+                band[offset:] += c.ravel()[:n - offset]
+            else:
+                band[:n + offset] += c.ravel()[-offset:]
     return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
@@ -198,10 +202,11 @@ def _coupling(a, shape, dy, dx):
     """Entries a[q, q'] from each point q of the ``shape`` grid to its
     (dy, dx) neighbour q', as a grid; zero where q' is off the grid.
 
-    Read from one band of the dia_matrix ``a``, which ``diagonal`` returns
-    as a view: a band of offset dy*width + dx also holds couplings that wrap
-    round a row end (on a width-2 grid the east and the south-west offset
-    are both 1), so the off-grid column is zeroed.
+    Read from the band of offset dy*width + dx of ``a``, a dia_matrix (whose
+    ``diagonal`` is a view) or any matrix with its ``diagonal``. The band
+    also holds couplings that wrap round a row end (on a width-2 grid the
+    east and the south-west offset are both 1), so the off-grid column is
+    zeroed.
     """
     height, width = shape
     n = height * width
@@ -347,66 +352,46 @@ def _levels(system, shape):
     ``system`` itself, P' the CSC view ``p.T`` of P's arrays, whose products
     sum as a CSR copy's do. Both line sweeps solve in ``buffer``, the first
     unknowns of one buffer that all levels share, which holds nothing of a
-    level while the coarser levels run.
-
-    Each level forms its P and its coarse operator before its line factors,
-    and the shared buffer is taken last, so that the setup's largest
-    transient, the finest operator's CSR copy and AP in ``_galerkin``, stays
-    below the peak of the solve."""
-    grids = []
+    level while the coarser levels run."""
+    shared = np.empty(system.shape[0])
+    levels = []
     a = system
     while a.shape[0] > COARSEST_UNKNOWNS:
         p = _operator_interpolation(a, shape)
-        coarse_shape = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
-        coarse = _galerkin(a, p, coarse_shape)
-        grids.append((a, p, shape, _line_factors(a, shape)))
-        a, shape = coarse, coarse_shape
-    shared = np.empty(system.shape[0])
-    levels = []
-    for a_l, p, shape_l, factors in grids:
-        buffer = shared[:a_l.shape[0]]
-        sweeps = [_line_sweep(d, e, buffer) for d, e in factors]
-        levels.append((a_l, p, p.T, shape_l, buffer, sweeps))
+        buffer = shared[:a.shape[0]]
+        sweeps = [_line_sweep(d, e, buffer) for d, e in _line_factors(a, shape)]
+        levels.append((a, p, p.T, shape, buffer, sweeps))
+        shape = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
+        a = _galerkin(a, p, shape)
     return levels, splu(a.tocsc())
 
 
 def _galerkin(a, p, shape):
-    """The coarse operator P'AP on the ``shape`` grid, as a dia_matrix of its
-    nine bands, of offsets dy*width + dx for dy, dx in -1, 0, 1, increasing;
-    fewer where two coincide or one leaves the grid. Each band is read off
-    the CSR product. AP is formed first, from a transient CSR copy of ``a``
-    (``_csr``), which is freed before the product takes P' as a CSR copy."""
-    ap = _csr(a) @ p
-    product = p.T.tocsr() @ ap
-    del ap
-    height, width = shape
-    n = height * width
-    offsets = sorted({dy * width + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-                      if abs(dy * width + dx) < n})
-    data = np.zeros((len(offsets), n))
-    for band, offset in zip(data, offsets):
-        band[max(offset, 0):n + min(offset, 0)] = product.diagonal(offset)
-    return sp.dia_matrix((data, offsets), shape=(n, n))
+    """The coarse operator P'AP on the ``shape`` grid as a dia_matrix
+    (``_dia``), read off nine probe products P'(A(Pe)): the products a
+    V-cycle makes, for which ``a`` may be any matrix with ``@``.
 
-
-def _csr(a):
-    """CSR copy of the dia_matrix ``a`` with one entry per band in every row,
-    in the bands' order; a band's entry that falls off the matrix is an
-    explicit zero in the row's own column. Built in numpy, so that its
-    memory does not depend on the scipy release: older releases convert DIA
-    to CSR through COO, at about twice the memory.
+    P'AP is a 3x3 stencil (Dendy 1982), and the 3x3 neighbourhood of every
+    point holds one point of each colour (i % 3, j % 3). So with e the
+    indicator of one colour, (P'APe)_q is q's coupling to its neighbour of
+    that colour, and exactly 0 where that neighbour is off the grid (Curtis,
+    Powell & Reid, IMA J. Appl. Math. 1974). No row of P or of AP has two
+    entries of one colour, so each probe sums the terms of the CSR product
+    P'AP in its order, with zeros between them: the same bits.
     """
-    n = a.shape[0]
-    rows = np.arange(n, dtype=np.int32)
-    data = np.zeros((n, len(a.offsets)))
-    indices = np.empty((n, len(a.offsets)), dtype=np.int32)
-    for k, offset in enumerate(a.offsets):
-        first, stop = max(-offset, 0), n - max(offset, 0)  # rows on the matrix
-        data[first:stop, k] = a.data[k, first + offset:stop + offset]
-        indices[:, k] = rows
-        indices[first:stop, k] += offset
-    indptr = np.arange(0, data.size + 1, len(a.offsets), dtype=np.int32)
-    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=a.shape)
+    couplings = {(dy, dx): np.empty(shape)
+                 for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
+    for cy in range(3):
+        for cx in range(3):
+            e = np.zeros(shape)
+            e[cy::3, cx::3] = 1.0
+            y = (p.T @ (a @ (p @ e.ravel()))).reshape(shape)
+            for (dy, dx), c in couplings.items():
+                # the points whose (dy, dx) neighbour has e's colour
+                rows = slice((cy - dy) % 3, None, 3)
+                cols = slice((cx - dx) % 3, None, 3)
+                c[rows, cols] = y[rows, cols]
+    return _dia(couplings, shape)
 
 
 def _relax(level, r, x, axis):

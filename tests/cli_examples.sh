@@ -37,6 +37,13 @@ reconstruct demo_
 msfuse gen-synthetic 160 120 5 --seed 7 --out-prefix wide_
 echo "cost.d_max = 95" > wide.cfg
 reconstruct wide_ --config wide.cfg
+# a header claiming more than its file holds (3.2 GB here, above the
+# address-space limit) is a bad image, exit 2, before any read allocates it
+printf 'P5\n40000 40000 65535\n0123456789' > forged.pgm
+status=0
+(ulimit -v 2000000; msfuse reconstruct forged.pgm forged.pgm \
+    --out-disparity forged.pfm --out-cloud forged.ply) || status=$?
+test "$status" -eq 2
 msfuse decompose demo_left.pgm --out-prefix layers_
 test "$(ls layers_* | wc -l)" -eq 7
 msfuse eval-mask demo_dumps_1_1/valid.pfm demo_dumps_1_1/valid.pfm \

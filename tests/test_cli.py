@@ -249,7 +249,7 @@ class TestReconstruct:
             ["reconstruct", left, right, "--config", cfg,
              "--out-disparity", tmp_path / "d.pfm", "--out-cloud", tmp_path / "c.ply"]
         ) == 1
-        assert "bad config" in capsys.readouterr().err
+        assert f"bad config {cfg}: " in capsys.readouterr().err
 
     def test_size_mismatch_exit_1(self, tmp_path, capsys):
         save_image(np.zeros((4, 4)), tmp_path / "a.pfm", format="pfm")

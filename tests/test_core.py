@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -121,6 +123,34 @@ class TestPfm:
         path.write_bytes(b"Pf\n4 4\n-1.0\n\x00\x00")
         with pytest.raises(FormatError):
             load_image(path)
+
+
+@pytest.mark.parametrize("header", [b"P5\n8192 8192\n255\n",
+                                    b"Pf\n8192 8192\n-1.0\n"], ids=["pgm", "pfm"])
+def test_forged_header_fails_before_the_read(tmp_path, header):
+    # a 20-byte file whose header claims 64 MiB (PGM) or 256 MiB (PFM): the
+    # claim is checked against the file's length, not allocated by the read
+    path = tmp_path / "forged"
+    path.write_bytes(header.ljust(20, b"\x00"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            load_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_loads_from_a_pipe(tmp_path):
+    # a pipe has no length to check a header against: its payload is read
+    fifo = tmp_path / "t.pgm"
+    os.mkfifo(fifo)
+    with ThreadPoolExecutor(1) as pool:
+        writing = pool.submit(fifo.write_bytes, b"P5\n2 1\n255\n\x00\xff")
+        img = load_image(fifo)
+        writing.result(timeout=10)
+    np.testing.assert_array_equal(img, [[0.0, 1.0]])
 
 
 class TestGradient:
