@@ -73,31 +73,15 @@ def census_transform(img, radius):
     return codes
 
 
-def padded_gradient(img):
-    """The x-gradient of an (H, W) image with a zero column in front,
-    G = [0 | gradient(img, "x")], shape (H, W + 1).
-
-    G's last column is 0 too (the forward difference's trailing border), so
-    np.fliplr(G) has the same layout for the mirrored image, negated:
-    np.fliplr(G)[:, 1:] is -gradient(np.fliplr(img), "x") up to the sign of
-    zeros. cost_block reads gradients only through |dxL - dxR|, which
-    negating both leaves bit-identical.
-    """
-    g = np.zeros((img.shape[0], img.shape[1] + 1))
-    np.subtract(img[:, 1:], img[:, :-1], out=g[:, 1:-1])
-    return g
-
-
 def cost_terms(left, right, params):
     """Per-view inputs of the fused cost, computed once and shared by every
-    disparity: (left, right, padded x-gradients of both, census codes of
-    both); see padded_gradient."""
+    disparity: (left, right, census codes of both). cost_block forms the
+    x-gradients from the images in its work arrays."""
     left = validate_image(left)
     right = validate_image(right)
     if left.shape != right.shape:
         raise ValueError(f"image shapes differ: {left.shape} vs {right.shape}")
-    return (left, right, padded_gradient(left), padded_gradient(right),
-            census_transform(left, params.census_radius),
+    return (left, right, census_transform(left, params.census_radius),
             census_transform(right, params.census_radius))
 
 
@@ -105,51 +89,57 @@ def mirrored_terms(terms):
     """Cost terms of the mirrored pair (fliplr right, fliplr left) as views
     of the cost_terms of (left, right): every term mirrored, the roles
     swapped. cost_block gives them the costs of
-    cost_terms(fliplr right, fliplr left) bit for bit: the mirrored padded
-    gradients are the negated ones (see padded_gradient), and the mirrored
-    codes swap the bits of neighbors (dy, dx) and (dy, -dx) in both codes,
-    which keeps every Hamming distance (see census_transform)."""
-    left, right, grad_l, grad_r, cen_l, cen_r = terms
-    return tuple(np.fliplr(t) for t in (right, left, grad_r, grad_l, cen_r, cen_l))
+    cost_terms(fliplr right, fliplr left) bit for bit: the flipped images
+    are that pair, whose x-gradients cost_block forms from them, and the
+    mirrored codes swap the bits of neighbors (dy, dx) and (dy, -dx) in
+    both codes, which keeps every Hamming distance (see census_transform)."""
+    left, right, cen_l, cen_r = terms
+    return tuple(np.fliplr(t) for t in (right, left, cen_r, cen_l))
 
 
 def cost_block(terms, params, c0, out, work):
     """Fused costs of disparities c0, c0 + 1, ... into the slices of the
     (k, H, W) array ``out``; ``terms`` comes from cost_terms or
     mirrored_terms. ``work`` is two contiguous float64 (H, W) arrays that
-    it overwrites.
+    it overwrites: first with the x-gradients dxL and dxR of the images
+    (core.gradient's forward difference, 0 in the last column), from which
+    every slice's gradient term is made, then with the other terms.
 
     E = w_ad * min(|L - R|, tau_ad)
       + w_grad * min(|dxL - dxR|, tau_grad)
       + w_cen * hamming(censusL, censusR) / code_bits
     """
-    left, right, grad_l, grad_r, cen_l, cen_r = terms
+    left, right, cen_l, cen_r = terms
     width = left.shape[1]
     n_bits = (2 * params.census_radius + 1) ** 2 - 1
     out[...] = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
+    # columns j >= c have an in-bounds right sample at j - c
+    slices = [(out[k, :, c:], slice(c, width), slice(0, width - c))
+              for k, c in enumerate(range(c0, min(c0 + len(out), width)))]
 
     # every term is written in place, into the output slice or a work
     # array; each cell sums in the order of the formula,
-    # (w_ad * ad + w_grad * gr) + (w_cen * ham) / n_bits
+    # (w_ad * ad + w_grad * gr) + (w_cen * ham) / n_bits, the gradient
+    # term first written to the slice (a + b is b + a, bit for bit)
     term, spare = work
-    # term holds the codes' xor once the gradient term is added to the cost
+    for img, grad in ((left, term), (right, spare)):
+        np.subtract(img[:, 1:], img[:, :-1], out=grad[:, :-1])
+        grad[:, -1] = 0
+    for cost, cols, src in slices:
+        np.subtract(term[:, cols], spare[:, src], out=cost)
+        np.abs(cost, out=cost)
+        np.minimum(cost, params.tau_grad, out=cost)
+        np.multiply(cost, params.w_grad, out=cost)
+    # term holds the codes' xor once the AD term is added to the cost
     xor = np.ndarray(left.shape, cen_l.dtype, buffer=term)
     ham = np.ndarray(left.shape, np.uint8, buffer=spare)
-    for k, c in enumerate(range(c0, min(c0 + len(out), width))):
-        # columns j >= c have an in-bounds right sample at j - c; a padded
-        # gradient's column j + 1 holds the gradient at j
-        cols = slice(c, width)
-        src = slice(0, width - c)
-        cost, t = out[k, :, cols], term[:, src]
-        np.subtract(left[:, cols], right[:, src], out=cost)
-        np.abs(cost, out=cost)
-        np.minimum(cost, params.tau_ad, out=cost)
-        np.multiply(cost, params.w_ad, out=cost)
-        np.subtract(grad_l[:, c + 1 :], grad_r[:, 1 : width - c + 1], out=t)
+    for cost, cols, src in slices:
+        t = term[:, src]
+        np.subtract(left[:, cols], right[:, src], out=t)
         np.abs(t, out=t)
-        np.minimum(t, params.tau_grad, out=t)
-        np.multiply(t, params.w_grad, out=t)
-        np.add(cost, t, out=cost)
+        np.minimum(t, params.tau_ad, out=t)
+        np.multiply(t, params.w_ad, out=t)
+        np.add(t, cost, out=cost)
         np.bitwise_xor(cen_l[:, cols], cen_r[:, src], out=xor[:, src])
         np.bitwise_count(xor[:, src], out=ham[:, src])
         np.multiply(ham[:, src], params.w_cen, out=t)

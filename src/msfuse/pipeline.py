@@ -13,16 +13,16 @@ A view pass streams over disparity blocks of at most
 aggregate.block_length slices (aggregate.BLOCK_BYTES rounded up to whole
 slices), of lengths that differ by at most one, and never holds a
 (D, H, W) volume. Each scale's guide statistics are computed once per
-view, and each image's x-gradients and census codes once per run:
-the mirrored pass reads the left pass's through np.fliplr
-(cost.mirrored_terms), which gives every cost of the mirrored images bit
-for bit. One window-count array serves every scale of both views. For
-each block, scale by scale in order, the raw cost block is computed into
-the interior of the guided filter's padded buffer, with the filter's two
-temporaries, idle until the filter runs, as the cost kernel's scratch.
-It is filtered there, clamped, weighted and added into the block's
-total: the same float operations, in the same order, as on whole
-volumes. A block task thus holds four block-sized buffers and no other
+view, and each image's census codes once per run: the mirrored pass
+reads the left pass's through np.fliplr (cost.mirrored_terms), which
+gives every cost of the mirrored images bit for bit; the x-gradients are
+formed per block in the cost kernel's scratch. One window-count
+array serves every scale of both views. For each block, scale by scale
+in order, the raw cost block is computed into the interior of the guided
+filter's padded buffer, with the filter's two temporaries, idle until
+the filter runs, as the cost kernel's scratch. It is filtered there,
+clamped, weighted and added into the block's total: the same float
+operations, in the same order, as on whole volumes. A block task thus holds four block-sized buffers and no other
 scratch: the total, the padded buffer and the filter's two temporaries.
 It runs with numpy's ufunc buffers cut to UFUNC_BUFSIZE elements, in its
 own np.errstate scope: every strided call would otherwise allocate
@@ -43,11 +43,12 @@ run in parallel, and each one's result does not depend on the threads.
 The one wait inside a task is a block task's wait for the previous
 block's fold before folding its own, so the output is identical for
 every thread count, and at most one block total per worker is resident.
-Both disparities are read off the passes' running winners, and the
-pyramids, scale inputs and winners are dropped before the left-right
-check and the fill. With ``collect``, run also returns the pyramids and
-the left pass's per-scale cost minima, under the names that
-``reconstruct --dump-dir`` gives their files.
+A pass's last block turns its running winner into the pass's disparity
+map and drops the winner, so no winner outlives its pass, and the
+pyramids and scale inputs are dropped before the left-right check and the
+fill. With ``collect``, run also returns the pyramids and the left pass's
+per-scale cost minima, under the names that ``reconstruct --dump-dir``
+gives their files.
 """
 
 import os
@@ -94,8 +95,7 @@ def _scale_inputs(ref, other, config, counts):
 def _mirrored_scale_inputs(terms, config, counts):
     """_scale_inputs of the mirrored pair (fliplr R, fliplr L), from the
     unmirrored pass's cost ``terms``, whose flipped views they are: its
-    x-gradients and census codes are shared, not recomputed (see
-    cost.mirrored_terms)."""
+    census codes are shared, not recomputed (see cost.mirrored_terms)."""
     terms = cost.mirrored_terms(terms)
     return terms, aggregate.guide_stats(terms[0], config.guided_filter_params(),
                                         counts)
@@ -138,21 +138,25 @@ def _view_pass(pool, inputs, shape, config, collect):
     """Queue one task per disparity block of a view pass over (H, W) images
     ``shape`` that reads the per-scale ``inputs``, as _scale_inputs returns
     them. Returns a function that waits for the pass and returns its
-    disparity.RunningWinner and the per-scale aggregated-cost minima
-    (empty unless ``collect``).
+    disparity map and the per-scale aggregated-cost minima (empty unless
+    ``collect``).
 
     The disparities are split into aggregate.blocks of at most
     aggregate.block_length slices whose lengths differ by at most one, so no
     short last block leaves its worker waiting. Each block task folds its
     total into the running winner once the previous block has, so blocks
-    fold in disparity order whatever the thread count.
+    fold in disparity order whatever the thread count. The last block's
+    task reads the disparity map off the running winner and drops it.
     """
     cost_params = config.cost_params()
+    n_disp = cost_params.d_max - cost_params.d_min + 1
+    subpixel = config.disparity_params().subpixel
     weights = fusion.finest_weights(config.fusion_params())
     winner = disparity.RunningWinner(shape)
     minima = [np.full(shape, np.inf) for _ in inputs] if collect else []
 
     def block_task(c0, block_shape, previous):
+        nonlocal winner
         with np.errstate():  # scopes the buffer size to this task
             np.setbufsize(UFUNC_BUFSIZE)
             total, block_minima = _fused_block(inputs, config, weights, c0,
@@ -162,16 +166,17 @@ def _view_pass(pool, inputs, shape, config, collect):
         winner.fold(total)
         for running, m in zip(minima, block_minima):
             np.minimum(running, m, out=running)
+        if winner.n == n_disp:
+            d, winner = winner.disparity(cost_params.d_min, subpixel), None
+            return d
 
-    n_disp = cost_params.d_max - cost_params.d_min + 1
     last = None
     for start, stop in aggregate.blocks(n_disp, aggregate.block_length(shape)):
         last = pool.submit(block_task, cost_params.d_min + start,
                            (stop - start,) + shape, last)
 
     def finish():
-        last.result()
-        return winner, minima
+        return last.result(), minima
 
     return finish
 
@@ -187,7 +192,6 @@ def run(left, right, config, collect=False):
     agg_min_s (the left view's aggregated cost, minimum over disparity),
     s = 0..3, to images.
     """
-    d_min = config.cost_params().d_min
     disp_params = config.disparity_params()
 
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
@@ -204,18 +208,17 @@ def run(left, right, config, collect=False):
             partial(_mirrored_scale_inputs, config=config, counts=counts),
             [terms for terms, _ in inputs]))
         finish_right = _view_pass(pool, inputs, shape, config, False)
-        (winner_l, minima), (winner_r, _) = finish_left(), finish_right()
-    d_left = winner_l.disparity(d_min, disp_params.subpixel)
-    d_right = np.fliplr(winner_r.disparity(d_min, disp_params.subpixel))
+        (d_left, minima), (d_right, _) = finish_left(), finish_right()
     dump = None
     if collect:
         stacks = (("base_left", pyr_l), ("base_right", pyr_r), ("agg_min", minima))
         dump = {f"{name}_{s}": image for name, stack in stacks
                 for s, image in enumerate(stack)}
     # the consistency check and the fill read none of the passes' arrays
-    del pyr_l, pyr_r, counts, inputs, finish_left, finish_right, winner_l, winner_r
+    del pyr_l, pyr_r, counts, inputs, finish_left, finish_right
 
-    d = disparity.lr_consistency(d_left, d_right, disp_params.lr_threshold)
+    d = disparity.lr_consistency(d_left, np.fliplr(d_right),
+                                 disp_params.lr_threshold)
     valid = d != INVALID_DISPARITY
     if disp_params.fill_invalid:
         d = disparity.fill_invalid(d)

@@ -142,8 +142,8 @@ class TestCostBlock:
     def test_mirrored_terms_give_the_mirrored_pairs_costs(self, pair, radius, n,
                                                          tau_grad):
         # the right view's pass reads flipped views of the left pass's
-        # padded gradients and census codes in place of the terms of the
-        # mirrored images; every block's costs must agree byte for byte. A
+        # images and census codes in place of the terms of the mirrored
+        # images; every block's costs must agree byte for byte. A
         # tau_grad above every gradient difference leaves that term
         # untruncated.
         left, right = pair
@@ -157,6 +157,26 @@ class TestCostBlock:
                            np.full((2,) + shape, np.nan))
                 for terms in (shared, fresh))
             assert got.tobytes() == expected.tobytes()
+
+
+def test_cost_terms_hold_no_x_gradients():
+    # cost_block forms the x-gradients in its work arrays, block by block:
+    # the terms are the two images and their census codes, and the mirrored
+    # terms are flipped views of them, roles swapped
+    rng = np.random.default_rng(24)
+    left, right = rng.random((6, 9)), rng.random((6, 9))
+    params = CostParams()
+    terms = cost_terms(left, right, params)
+    assert len(terms) == 4
+    assert terms[0] is left and terms[1] is right
+    for img, codes in zip(terms[:2], terms[2:]):
+        assert codes.dtype == np.uint32
+        np.testing.assert_array_equal(codes, census_transform(img, params.census_radius))
+    mirrored = mirrored_terms(terms)
+    assert len(mirrored) == 4
+    for view, term in zip(mirrored, (right, left, terms[3], terms[2])):
+        assert view.base is term
+        np.testing.assert_array_equal(view, np.fliplr(term))
 
 
 class TestMatchCost:

@@ -84,8 +84,9 @@ def test_run_equals_whole_volume_reference(stream_case, monkeypatch, threads,
 def test_run_frees_the_passes_before_the_lr_check(monkeypatch):
     # pyramid levels 1-3 and both running winners are freed by reference
     # counting before the consistency check and the fill: with the cyclic
-    # collector off, a reference cycle or a lingering name keeps them alive
-    refs = []
+    # collector off, a reference cycle or a lingering name keeps them alive.
+    # A winner's arrays die once its pass's last block has folded: with one
+    # worker, before the right pass's first fold.
     decompose, lr_consistency = wls.decompose, disparity.lr_consistency
 
     def recording(image, params):
@@ -93,12 +94,19 @@ def test_run_frees_the_passes_before_the_lr_check(monkeypatch):
         refs.extend(weakref.ref(layer) for layer in layers[1:])
         return layers
 
+    def alive_arrays():
+        return [sum(ref() is not None for ref in arrays) for arrays in winner_arrays]
+
     class RecordedWinner(disparity.RunningWinner):
         def __init__(self, shape):
             super().__init__(shape)
             refs.append(weakref.ref(self))
+            winner_arrays.append([weakref.ref(a) for a in (
+                self.winners, self.c_zero, self.c_minus, self.c_plus)])
 
-    alive = []
+        def fold(self, block):
+            folds.append(alive_arrays())
+            super().fold(block)
 
     def checking(*args):
         alive.append(sum(ref() is not None for ref in refs))
@@ -108,12 +116,20 @@ def test_run_frees_the_passes_before_the_lr_check(monkeypatch):
     monkeypatch.setattr(disparity, "RunningWinner", RecordedWinner)
     monkeypatch.setattr(disparity, "lr_consistency", checking)
     left, right, _ = random_dot_pair(48, 32, 5, 0)
-    gc.disable()
-    try:
-        pipeline.run(left, right, PipelineConfig(STREAM_CONFIG))
-    finally:
-        gc.enable()
-    assert len(refs) == 8 and alive == [0]
+    # 17 disparities in blocks of 3, 3, 3, 3, 3 and 2 slices per pass
+    monkeypatch.setattr(aggregate, "BLOCK_BYTES", 3 * left.nbytes)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MSFUSE_THREADS", threads)
+        refs, winner_arrays, folds, alive = [], [], [], []
+        gc.disable()
+        try:
+            pipeline.run(left, right, PipelineConfig(STREAM_CONFIG))
+        finally:
+            gc.enable()
+        assert len(refs) == 8 and alive == [0]
+        assert alive_arrays() == [0, 0]
+        if threads == "1":
+            assert folds == [[4]] * 6 + [[0, 4]] * 6
 
 
 def test_dumped_minima_equal_reference(tmp_path):
@@ -136,7 +152,7 @@ def test_dumped_minima_equal_reference(tmp_path):
 
 
 def left_view_pass(pool, left, right, config):
-    """The left view's running winner from one view pass over the pyramids
+    """The left view's disparity from one view pass over the pyramids
     [left] * 4 and [right] * 4, its blocks run on ``pool``."""
     counts = aggregate.window_counts(left.shape, config.guided_filter_params().radius)
     inputs = [pipeline._scale_inputs(left, right, config, counts) for _ in range(4)]
@@ -158,6 +174,26 @@ def view_pass_peak(n_disp):
 
 def test_view_pass_memory_independent_of_disparity_range():
     assert abs(view_pass_peak(192) - view_pass_peak(96)) < aggregate.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("size, settings, bound_mib", [
+    ((128, 96), {}, 6.05),
+    ((160, 120), {"cost.d_max": 95}, 8.3),
+], ids=["128x96-d17", "160x120-d96"])
+def test_run_memory_bounded(monkeypatch, size, settings, bound_mib):
+    # tracemalloc peak of one run on one worker: 5.88 and 8.03 MiB. With
+    # each run's padded x-gradients held through both passes, and both
+    # running winners until the second pass ended, it read 7.02 and 9.82.
+    monkeypatch.setenv("MSFUSE_THREADS", "1")
+    pipeline.run(*random_dot_pair(32, 24, 5, 1)[:2], PipelineConfig({}))  # first calls
+    left, right, _ = random_dot_pair(*size, 5, 0)
+    tracemalloc.start()
+    try:
+        pipeline.run(left, right, PipelineConfig(settings))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, peak / 2**20
 
 
 def test_branches_summed_as_they_finish():
@@ -263,11 +299,6 @@ def test_run_computes_census_once_per_image(monkeypatch):
     # pass's codes
     assert len(cost_calls(monkeypatch, "census_transform")) == 8
 
-
-def test_run_computes_x_gradients_once_per_image(monkeypatch):
-    # the cost's x-gradients (the WLS weights take their own): the right
-    # view's pass mirrors the left pass's padded gradients
-    assert len(cost_calls(monkeypatch, "padded_gradient")) == 8
 
 
 def decompose_calls(monkeypatch, threads):
