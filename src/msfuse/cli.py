@@ -8,8 +8,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import metrics, pipeline, synth, wls
 from .config import ConfigError, PipelineConfig
 from .core import FormatError, load_image, save_image
@@ -93,9 +91,15 @@ def cmd_reconstruct(args):
     except (ConfigError, ValueError) as exc:
         raise CliError(EXIT_USAGE, str(exc))
 
+    if args.dump_dir is not None:
+        try:
+            os.makedirs(args.dump_dir, exist_ok=True)
+        except OSError as exc:
+            raise CliError(EXIT_IO, f"cannot create {args.dump_dir}: {exc}")
+
     try:
-        d, valid, dump = pipeline.run(left, right, config,
-                                      collect=args.dump_dir is not None)
+        d, outputs = pipeline.run(left, right, config,
+                                  collect=args.dump_dir is not None)
     except wls.SolverError as exc:
         raise CliError(EXIT_NUMERIC, str(exc))
 
@@ -103,13 +107,8 @@ def cmd_reconstruct(args):
     cloud = triangulate(d, rig, intensity=left)
     _write_atomic(args.out_cloud, lambda tmp: export_ply(cloud, tmp))
 
-    if dump is not None:
-        try:
-            os.makedirs(args.dump_dir, exist_ok=True)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot create {args.dump_dir}: {exc}")
-        dump["valid"] = valid.astype(np.float64)
-        for name, image in dump.items():
+    if args.dump_dir is not None:
+        for name, image in outputs.items():
             _write_image(image, os.path.join(args.dump_dir, f"{name}.pfm"), "pfm")
     return EXIT_OK
 

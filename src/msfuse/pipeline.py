@@ -12,17 +12,19 @@ mirrored images up to solver roundoff.
 A view pass streams over disparity blocks of at most
 aggregate.block_length slices (aggregate.BLOCK_BYTES rounded up to whole
 slices), of lengths that differ by at most one, and never holds a
-(D, H, W) volume. Each scale's guide statistics are computed once per
-view, and each image's census codes once per run: the mirrored pass
-reads the left pass's through np.fliplr (cost.mirrored_terms), which
-gives every cost of the mirrored images bit for bit; the x-gradients are
-formed per block in the cost kernel's scratch. One window-count
-array serves every scale of both views. For each block, scale by scale
-in order, the raw cost block is computed into the interior of the guided
-filter's padded buffer, with the filter's two temporaries, idle until
-the filter runs, as the cost kernel's scratch. It is filtered there,
-clamped, weighted and added into the block's total: the same float
-operations, in the same order, as on whole volumes. A block task thus holds four block-sized buffers and no other
+(D, H, W) volume. One builder, _scale_inputs, makes both passes' inputs:
+the left pass's cost terms come from cost.cost_terms, the mirrored
+pass's are their np.fliplr views (cost.mirrored_terms), which give every
+cost of the mirrored images bit for bit. So each image's census codes
+are computed once per run and each scale's guide statistics once per
+view; the x-gradients are formed per block in the cost kernel's scratch.
+One window-count array serves every scale of both views. For each
+block, scale by scale in order, the raw cost block is computed into the
+interior of the guided filter's padded buffer, with the filter's two
+temporaries, idle until the filter runs, as the cost kernel's scratch.
+It is filtered there, clamped, weighted and added into the block's
+total: the same float operations, in the same order, as on whole
+volumes. A block task thus holds four block-sized buffers and no other
 scratch: the total, the padded buffer and the filter's two temporaries.
 It runs with numpy's ufunc buffers cut to UFUNC_BUFSIZE elements, in its
 own np.errstate scope: every strided call would otherwise allocate
@@ -44,16 +46,16 @@ The one wait inside a task is a block task's wait for the previous
 block's fold before folding its own, so the output is identical for
 every thread count, and at most one block total per worker is resident.
 A pass's last block turns its running winner into the pass's disparity
-map and drops the winner, so no winner outlives its pass, and the
-pyramids and scale inputs are dropped before the left-right check and the
-fill. With ``collect``, run also returns the pyramids and the left pass's
-per-scale cost minima, under the names that ``reconstruct --dump-dir``
-gives their files.
+map and drops the winner, so no winner outlives its pass; that block's
+future is the pass's result. The pyramids and scale inputs are dropped
+before the left-right check and the fill. Besides the disparity map, run
+returns the images that ``reconstruct --dump-dir`` writes, by file name:
+the validity mask, and with ``collect`` the pyramids and the left pass's
+per-scale cost minima.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -83,20 +85,11 @@ def thread_count():
     return n
 
 
-def _scale_inputs(ref, other, config, counts):
-    """What every disparity block of one scale reads: the cost terms (the
-    first is the validated guide) and the guide statistics, which hold the
-    shared window ``counts``."""
-    terms = cost.cost_terms(ref, other, config.cost_params())
-    return terms, aggregate.guide_stats(terms[0], config.guided_filter_params(),
-                                        counts)
-
-
-def _mirrored_scale_inputs(terms, config, counts):
-    """_scale_inputs of the mirrored pair (fliplr R, fliplr L), from the
-    unmirrored pass's cost ``terms``, whose flipped views they are: its
-    census codes are shared, not recomputed (see cost.mirrored_terms)."""
-    terms = cost.mirrored_terms(terms)
+def _scale_inputs(terms, config, counts):
+    """What every disparity block of one scale reads: the cost ``terms`` of
+    cost.cost_terms or cost.mirrored_terms (the first is the validated
+    guide) and the guide statistics, which hold the shared window
+    ``counts``."""
     return terms, aggregate.guide_stats(terms[0], config.guided_filter_params(),
                                         counts)
 
@@ -137,9 +130,9 @@ def _fused_block(inputs, config, weights, c0, shape, collect):
 def _view_pass(pool, inputs, shape, config, collect):
     """Queue one task per disparity block of a view pass over (H, W) images
     ``shape`` that reads the per-scale ``inputs``, as _scale_inputs returns
-    them. Returns a function that waits for the pass and returns its
-    disparity map and the per-scale aggregated-cost minima (empty unless
-    ``collect``).
+    them. Returns the future of the last block's task, whose result is the
+    pass's disparity map and its per-scale aggregated-cost minima (empty
+    unless ``collect``).
 
     The disparities are split into aggregate.blocks of at most
     aggregate.block_length slices whose lengths differ by at most one, so no
@@ -168,17 +161,13 @@ def _view_pass(pool, inputs, shape, config, collect):
             np.minimum(running, m, out=running)
         if winner.n == n_disp:
             d, winner = winner.disparity(cost_params.d_min, subpixel), None
-            return d
+            return d, minima
 
     last = None
     for start, stop in aggregate.blocks(n_disp, aggregate.block_length(shape)):
         last = pool.submit(block_task, cost_params.d_min + start,
                            (stop - start,) + shape, last)
-
-    def finish():
-        return last.result(), minima
-
-    return finish
+    return last
 
 
 def run(left, right, config, collect=False):
@@ -187,10 +176,11 @@ def run(left, right, config, collect=False):
     sizes the pool that runs the decompositions, the scale inputs and the
     disparity blocks of both view passes (see thread_count).
 
-    Returns (disparity_map, validity_mask, dump | None). With ``collect``,
-    dump maps the names base_left_s, base_right_s (the pyramids) and
-    agg_min_s (the left view's aggregated cost, minimum over disparity),
-    s = 0..3, to images.
+    Returns (disparity_map, outputs). outputs maps each name that
+    ``reconstruct --dump-dir`` gives a file to its image: valid (the
+    left-right validity mask, bool) always; with ``collect`` also
+    base_left_s, base_right_s (the pyramids) and agg_min_s (the left
+    view's aggregated cost, minimum over disparity), s = 0..3.
     """
     disp_params = config.disparity_params()
 
@@ -199,27 +189,29 @@ def run(left, right, config, collect=False):
                                 [config.wls_params()] * 2)
         shape = pyr_l[0].shape
         counts = aggregate.window_counts(shape, config.guided_filter_params().radius)
-        inputs = list(pool.map(partial(_scale_inputs, config=config, counts=counts),
-                               pyr_l, pyr_r))
-        finish_left = _view_pass(pool, inputs, shape, config, collect)
+        inputs = list(pool.map(
+            lambda ref, other: _scale_inputs(
+                cost.cost_terms(ref, other, config.cost_params()), config, counts),
+            pyr_l, pyr_r))
+        left_pass = _view_pass(pool, inputs, shape, config, collect)
         # queued behind the left blocks, which keep the workers busy until
         # the right blocks are queued
         inputs = list(pool.map(
-            partial(_mirrored_scale_inputs, config=config, counts=counts),
+            lambda terms: _scale_inputs(cost.mirrored_terms(terms), config, counts),
             [terms for terms, _ in inputs]))
-        finish_right = _view_pass(pool, inputs, shape, config, False)
-        (d_left, minima), (d_right, _) = finish_left(), finish_right()
-    dump = None
+        right_pass = _view_pass(pool, inputs, shape, config, False)
+        (d_left, minima), (d_right, _) = left_pass.result(), right_pass.result()
+    outputs = {}
     if collect:
         stacks = (("base_left", pyr_l), ("base_right", pyr_r), ("agg_min", minima))
-        dump = {f"{name}_{s}": image for name, stack in stacks
-                for s, image in enumerate(stack)}
+        outputs = {f"{name}_{s}": image for name, stack in stacks
+                   for s, image in enumerate(stack)}
     # the consistency check and the fill read none of the passes' arrays
-    del pyr_l, pyr_r, counts, inputs, finish_left, finish_right
+    del pyr_l, pyr_r, counts, inputs, left_pass, right_pass
 
     d = disparity.lr_consistency(d_left, np.fliplr(d_right),
                                  disp_params.lr_threshold)
-    valid = d != INVALID_DISPARITY
+    outputs["valid"] = d != INVALID_DISPARITY
     if disp_params.fill_invalid:
         d = disparity.fill_invalid(d)
-    return d, valid, dump
+    return d, outputs

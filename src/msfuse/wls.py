@@ -275,13 +275,6 @@ def _operator_interpolation(a, shape):
     centre[..., 2] = c[1, -1] + c[1, 0] * west[1:] + c[0, -1] * south[:, :-1]
     centre[..., 3] = c[1, 1] + c[1, 0] * east[1:] + c[0, 1] * south[:, 1:]
     centre /= -c[0, 0][..., None]
-    # the last row (column) of an even side has no coarse point after it;
-    # its weights to one are 0 already, and zeroing them keeps every stored
-    # column on the coarse grid, which csr_matrix does not check
-    if height % 2 == 0:
-        weights[-1, :, 2:] = 0.0
-    if width % 2 == 0:
-        weights[:, -1, 1::2] = 0.0
 
     rows, cols = np.indices((height, width), dtype=np.int32) // 2
     columns = (rows * cw + cols)[..., None] + np.array([0, 1, cw, cw + 1],

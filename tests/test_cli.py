@@ -226,6 +226,24 @@ class TestReconstruct:
         assert not out_d.exists()
         assert not (tmp_path / "c.ply").exists()
 
+    def test_bad_dump_dir_exit_2_before_work(self, tmp_path, monkeypatch, capsys):
+        # a dump directory that cannot be made fails before the pipeline
+        # runs, not after the disparity and the cloud are written
+        left, right = self._gen_pair(tmp_path)
+
+        def pipeline_run(*args, **kwargs):
+            raise AssertionError("pipeline.run ran with an unusable dump dir")
+
+        monkeypatch.setattr("msfuse.pipeline.run", pipeline_run)
+        out_d, out_c = tmp_path / "d.pfm", tmp_path / "c.ply"
+        assert run(
+            ["reconstruct", left, right, "--out-disparity", out_d,
+             "--out-cloud", out_c, "--dump-dir", left]
+        ) == 2
+        assert f"cannot create {left}: " in capsys.readouterr().err
+        assert not out_d.exists()
+        assert not out_c.exists()
+
     @pytest.mark.parametrize(
         "text", ["cost.d_min = 5\ncost.d_max = 2\n", "cost.census_radius = 4\n",
                  "wls.max_iter = 0\n",

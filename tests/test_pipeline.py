@@ -70,15 +70,24 @@ def test_run_equals_whole_volume_reference(stream_case, monkeypatch, threads,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        d, valid, dump = pipeline.run(left, right, config, collect=True)
+        d, outputs = pipeline.run(left, right, config, collect=True)
     finally:
         sys.setswitchinterval(interval)
     assert d.tobytes() == d_ref.tobytes()
-    np.testing.assert_array_equal(valid, valid_ref)
-    assert set(dump) == {f"{name}_{s}" for name in ("base_left", "base_right", "agg_min")
-                         for s in range(4)}
+    assert outputs["valid"].dtype == bool
+    np.testing.assert_array_equal(outputs["valid"], valid_ref)
+    assert set(outputs) == {"valid"} | {
+        f"{name}_{s}" for name in ("base_left", "base_right", "agg_min") for s in range(4)}
     for s, expected in enumerate(minima_ref):
-        assert dump[f"agg_min_{s}"].tobytes() == expected.tobytes()
+        assert outputs[f"agg_min_{s}"].tobytes() == expected.tobytes()
+
+
+def test_run_without_collect_returns_the_mask_only(stream_case):
+    left, right, config, (d_ref, valid_ref, _) = stream_case
+    d, outputs = pipeline.run(left, right, config)
+    assert d.tobytes() == d_ref.tobytes()
+    assert list(outputs) == ["valid"] and outputs["valid"].dtype == bool
+    np.testing.assert_array_equal(outputs["valid"], valid_ref)
 
 
 def test_run_frees_the_passes_before_the_lr_check(monkeypatch):
@@ -155,8 +164,9 @@ def left_view_pass(pool, left, right, config):
     """The left view's disparity from one view pass over the pyramids
     [left] * 4 and [right] * 4, its blocks run on ``pool``."""
     counts = aggregate.window_counts(left.shape, config.guided_filter_params().radius)
-    inputs = [pipeline._scale_inputs(left, right, config, counts) for _ in range(4)]
-    return pipeline._view_pass(pool, inputs, left.shape, config, False)()[0]
+    inputs = [pipeline._scale_inputs(cost.cost_terms(left, right, config.cost_params()),
+                                     config, counts) for _ in range(4)]
+    return pipeline._view_pass(pool, inputs, left.shape, config, False).result()[0]
 
 
 def view_pass_peak(n_disp):

@@ -301,16 +301,22 @@ class TestMultigrid:
                     principal = csr[line[:, None], line].toarray()
                     assert np.abs(tridiagonal - principal).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("shape", [(9, 13), (12, 8), (1, 21), (20, 1)],
+    @pytest.mark.parametrize("shape", [(9, 13), (12, 8), (1, 21), (20, 1),
+                                       (2, 300), (300, 2)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
     def test_interpolation_keeps_constants(self, shape):
         # where A annihilates constants (a bare Laplacian and its Galerkin
-        # levels), each fine point's weights sum to 1; coarse points copy
+        # levels), each fine point's weights sum to 1; coarse points copy.
+        # The last row (column) of an even side has no coarse point after
+        # it: its weights to one are 0 and not stored, so every stored
+        # column is on the coarse grid, which csr_matrix does not check
         guide = np.random.default_rng(shape[0] * 3 + shape[1]).random(shape)
         a = dense_laplacian(guide, WlsParams())
         for _ in range(2):
             p = wls._operator_interpolation(a, shape)
             coarse = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
+            assert p.indices.max() < p.shape[1]
+            assert (p.data != 0).all()
             np.testing.assert_allclose(p @ np.ones(p.shape[1]), 1.0, rtol=1e-10)
             copies = p[np.arange(a.shape[0]).reshape(shape)[::2, ::2].ravel()]
             assert (copies != sp.eye(p.shape[1])).nnz == 0
