@@ -47,9 +47,10 @@ def census_transform(img, radius):
     bit is 0 as if they took the center value.
     Codes are uint32 up to radius 2 (24 bits) and uint64 at radius 3.
 
-    The codes of np.fliplr(img) are np.fliplr of these codes with the bits
-    of neighbors (dy, dx) and (dy, -dx) swapped; the same swap in two codes
-    keeps their Hamming distance.
+    The codes of img[::-1, ::-1], the image turned by 180 degrees, are these
+    codes turned alike with their bit order reversed, as neighbor (dy, dx)
+    becomes (-dy, -dx); the same permutation of two codes keeps their
+    Hamming distance.
     """
     img = validate_image(img)
     if radius < 1:
@@ -86,20 +87,21 @@ def cost_terms(left, right, params):
 
 
 def mirrored_terms(terms):
-    """Cost terms of the mirrored pair (fliplr right, fliplr left) as views
-    of the cost_terms of (left, right): every term mirrored, the roles
-    swapped. cost_block gives them the costs of
-    cost_terms(fliplr right, fliplr left) bit for bit: the flipped images
-    are that pair, whose x-gradients cost_block forms from them, and the
-    mirrored codes swap the bits of neighbors (dy, dx) and (dy, -dx) in
-    both codes, which keeps every Hamming distance (see census_transform)."""
+    """Cost terms of the rotated pair (rot right, rot left), rot turning an
+    image by 180 degrees, as views of the cost_terms of (left, right): every
+    term rotated, the roles swapped. cost_block gives them the costs of
+    cost_terms(rot right, rot left) bit for bit: the rotated images are that
+    pair, whose x-gradients cost_block forms from them, and the rotated
+    codes reverse the bit order of both codes, which keeps every Hamming
+    distance (see census_transform). A rotated view's reshape(-1) is a view
+    too, read backwards."""
     left, right, cen_l, cen_r = terms
-    return tuple(np.fliplr(t) for t in (right, left, cen_r, cen_l))
+    return tuple(t[::-1, ::-1] for t in (right, left, cen_r, cen_l))
 
 
 def cost_block(terms, params, c0, out, work):
     """Fused costs of disparities c0, c0 + 1, ... into the slices of the
-    (k, H, W) array ``out``; ``terms`` comes from cost_terms or
+    C-contiguous (k, H, W) array ``out``; ``terms`` comes from cost_terms or
     mirrored_terms. ``work`` is two contiguous float64 (H, W) arrays that
     it overwrites: first with the x-gradients dxL and dxR of the images
     (core.gradient's forward difference, 0 in the last column), from which
@@ -108,43 +110,52 @@ def cost_block(terms, params, c0, out, work):
     E = w_ad * min(|L - R|, tau_ad)
       + w_grad * min(|dxL - dxR|, tau_grad)
       + w_cen * hamming(censusL, censusR) / code_bits
+
+    Every term is one pass over the flattened images: at disparity c, left
+    cell i against right cell i - c, so that the first c cells of a row
+    meet the end of the row above. Those cells, whose right sample is out
+    of range, are then given the border cost.
     """
-    left, right, cen_l, cen_r = terms
-    width = left.shape[1]
+    left, right, cen_l, cen_r = (t.reshape(-1) for t in terms)
+    height, width = terms[0].shape
+    size = height * width
     n_bits = (2 * params.census_radius + 1) ** 2 - 1
-    out[...] = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
-    # columns j >= c have an in-bounds right sample at j - c
-    slices = [(out[k, :, c:], slice(c, width), slice(0, width - c))
+    # cells i >= c have a right sample at i - c, in range for columns j >= c
+    slices = [(out[k].reshape(-1)[c:], slice(c, size), slice(0, size - c))
               for k, c in enumerate(range(c0, min(c0 + len(out), width)))]
 
     # every term is written in place, into the output slice or a work
     # array; each cell sums in the order of the formula,
     # (w_ad * ad + w_grad * gr) + (w_cen * ham) / n_bits, the gradient
     # term first written to the slice (a + b is b + a, bit for bit)
-    term, spare = work
+    term, spare = (w.reshape(-1) for w in work)
     for img, grad in ((left, term), (right, spare)):
-        np.subtract(img[:, 1:], img[:, :-1], out=grad[:, :-1])
+        np.subtract(img[1:], img[:-1], out=grad[:-1])
+    for grad in work:
         grad[:, -1] = 0
     for cost, cols, src in slices:
-        np.subtract(term[:, cols], spare[:, src], out=cost)
+        np.subtract(term[cols], spare[src], out=cost)
         np.abs(cost, out=cost)
         np.minimum(cost, params.tau_grad, out=cost)
         np.multiply(cost, params.w_grad, out=cost)
     # term holds the codes' xor once the AD term is added to the cost
-    xor = np.ndarray(left.shape, cen_l.dtype, buffer=term)
-    ham = np.ndarray(left.shape, np.uint8, buffer=spare)
+    xor = np.ndarray(size, cen_l.dtype, buffer=work[0])
+    ham = np.ndarray(size, np.uint8, buffer=work[1])
     for cost, cols, src in slices:
-        t = term[:, src]
-        np.subtract(left[:, cols], right[:, src], out=t)
+        t = term[src]
+        np.subtract(left[cols], right[src], out=t)
         np.abs(t, out=t)
         np.minimum(t, params.tau_ad, out=t)
         np.multiply(t, params.w_ad, out=t)
         np.add(t, cost, out=cost)
-        np.bitwise_xor(cen_l[:, cols], cen_r[:, src], out=xor[:, src])
-        np.bitwise_count(xor[:, src], out=ham[:, src])
-        np.multiply(ham[:, src], params.w_cen, out=t)
+        np.bitwise_xor(cen_l[cols], cen_r[src], out=xor[src])
+        np.bitwise_count(xor[src], out=ham[src])
+        np.multiply(ham[src], params.w_cen, out=t)
         np.divide(t, n_bits, out=t)
         np.add(cost, t, out=cost)
+    border = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen
+    for k, c in enumerate(range(c0, c0 + len(out))):
+        out[k, :, :c] = border
     return out
 
 

@@ -5,37 +5,40 @@ pass picks, per pixel, the disparity of least finest fused cost
 sum_s w_s * agg_s (w = fusion.finest_weights), agg_s being the
 guided-filter aggregation of scale s's fused matching cost. The
 right-view disparity for the consistency check runs the same pass on the
-horizontally mirrored pyramids with the camera roles swapped: the WLS
-filter commutes with mirroring, so these equal the pyramids of the
-mirrored images up to solver roundoff.
+pyramids turned by 180 degrees, with the camera roles swapped, and is
+turned back: the WLS filter commutes with the rotation, so these equal
+the pyramids of the turned images up to solver roundoff. The turn, like
+a mirror, reads every row right to left, and unlike a mirror it keeps
+each flattened image a view: the same array read backwards.
 
 A view pass streams over disparity blocks of at most
 aggregate.block_length slices (aggregate.BLOCK_BYTES rounded up to whole
 slices), of lengths that differ by at most one, and never holds a
 (D, H, W) volume. One builder, _scale_inputs, makes both passes' inputs:
-the left pass's cost terms come from cost.cost_terms, the mirrored
-pass's are their np.fliplr views (cost.mirrored_terms), which give every
-cost of the mirrored images bit for bit. So each image's census codes
-are computed once per run and each scale's guide statistics once per
-view; the x-gradients are formed per block in the cost kernel's scratch.
+the left pass's cost terms come from cost.cost_terms, the right pass's
+are their rotated views (cost.mirrored_terms), which give every cost of
+the turned images bit for bit. So each image's census codes are
+computed once per run and each scale's guide statistics once per view; the x-gradients are formed per block in the cost kernel's scratch.
 One window-count array serves every scale of both views. For each
 block, scale by scale in order, the raw cost block is computed into the
-interior of the guided filter's padded buffer, with the filter's two
-temporaries, idle until the filter runs, as the cost kernel's scratch.
-It is filtered there, clamped, weighted and added into the block's
-total: the same float operations, in the same order, as on whole
-volumes. A block task thus holds four block-sized buffers and no other
-scratch: the total, the padded buffer and the filter's two temporaries.
-It runs with numpy's ufunc buffers cut to UFUNC_BUFSIZE elements, in its
-own np.errstate scope: every strided call would otherwise allocate
-buffers of 8192 elements per operand. The totals fold into a running
-winner (disparity.RunningWinner) in increasing disparity, so the result
-equals winner-take-all and subpixel refinement of the whole fused
-volume, bit for bit.
+first of the guided filter's three buffers, with the other two, idle
+until the filter runs, as the cost kernel's scratch. It is filtered
+there, clamped, weighted and added into the block's total: the same
+float operations, in the same order, as on whole volumes. A block task
+thus holds four block-sized buffers and no other scratch: the total and
+the filter's three buffers. Every block-sized ufunc call of the cost
+kernel and the filter's box sums is one contiguous 1-D pass over
+flattened arrays. The task runs with numpy's ufunc buffers cut to
+UFUNC_BUFSIZE elements, in its own np.errstate scope: every call that
+casts an operand, such as the cost kernel's weighting of its uint8
+Hamming counts, would otherwise allocate buffers of 8192 elements per
+operand. The totals fold into a running winner (disparity.RunningWinner)
+in increasing disparity, so the result equals winner-take-all and
+subpixel refinement of the whole fused volume, bit for bit.
 
 One thread pool (MSFUSE_THREADS, 0 = auto) runs the stages, and every
 task receives resolved arrays: the two decompositions side by side, the
-left view's four scale inputs, then the left pass's blocks. The mirrored
+left view's four scale inputs, then the left pass's blocks. The right
 pass's scale inputs, made from the left inputs' cost terms, queue behind
 those blocks, and the right pass's blocks are queued once they are done;
 the left blocks keep the workers busy until then, so there is no barrier
@@ -63,8 +66,9 @@ from . import aggregate, cost, disparity, fusion, wls
 from .core import INVALID_DISPARITY, CostVolume
 
 # Elements of numpy's iteration buffer per operand in a block task; numpy's
-# default, 8192, makes every strided ufunc call on a block allocate 64 KiB
-# per float64 operand.
+# default, 8192, makes every ufunc call on a block that casts an operand
+# (the cost kernel's uint8 Hamming counts) allocate 64 KiB per float64
+# operand.
 UFUNC_BUFSIZE = 1024
 
 
@@ -98,18 +102,19 @@ def _fused_block(inputs, config, weights, c0, shape, collect):
     """sum_s w_s * agg_s of the (n, H, W) block of disparities from c0, and
     the per-scale minima of agg_s over the block if ``collect``.
 
-    Per scale, in scale order: the raw cost block, written into the filter's
-    padded buffer, filtered there, weighted and added into the total, so
-    every cell gets the additions of the whole-volume form in its order.
-    The cost kernel's work arrays are the first slices of the filter's two
-    temporaries, which it overwrites. The total and the filter's scratch
-    (aggregate.block_scratch) are the task's four block buffers."""
+    Per scale, in scale order: the raw cost block, written into the first
+    of the filter's buffers, filtered there, weighted and added into the
+    total, so every cell gets the additions of the whole-volume form in its
+    order. The cost kernel's work arrays are the first slices of the
+    filter's other two buffers, which it overwrites. The total and the
+    filter's scratch (aggregate.block_scratch) are the task's four block
+    buffers."""
     cost_params = config.cost_params()
     gf_params = config.guided_filter_params()
     d_max = c0 + shape[0] - 1
     total = np.empty(shape)
-    scratch = aggregate.block_scratch(shape, gf_params.radius)
-    block = aggregate.scratch_block(scratch, gf_params.radius)
+    scratch = aggregate.block_scratch(shape)
+    block = scratch[0]
     work = (scratch[1][0], scratch[2][0])
     minima = []
     for s, (terms, stats) in enumerate(inputs):
@@ -171,8 +176,8 @@ def _view_pass(pool, inputs, shape, config, collect):
 
 
 def run(left, right, config, collect=False):
-    """Full pipeline: both decompositions, left disparity, mirrored right
-    disparity, left-right consistency and invalid fill. MSFUSE_THREADS
+    """Full pipeline: both decompositions, left disparity, right disparity
+    from the rotated pair, left-right consistency and invalid fill. MSFUSE_THREADS
     sizes the pool that runs the decompositions, the scale inputs and the
     disparity blocks of both view passes (see thread_count).
 
@@ -209,7 +214,7 @@ def run(left, right, config, collect=False):
     # the consistency check and the fill read none of the passes' arrays
     del pyr_l, pyr_r, counts, inputs, left_pass, right_pass
 
-    d = disparity.lr_consistency(d_left, np.fliplr(d_right),
+    d = disparity.lr_consistency(d_left, d_right[::-1, ::-1],
                                  disp_params.lr_threshold)
     outputs["valid"] = d != INVALID_DISPARITY
     if disp_params.fill_invalid:

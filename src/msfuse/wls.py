@@ -458,8 +458,9 @@ def cg(system, b, x0, *, rtol, atol, maxiter, M, callback=None):
             p = z.copy()
         q = system @ p
         alpha = rho / _dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        # z is spent once p is formed: its array takes alpha*p, then alpha*q
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, q, out=z)
         rho_prev = rho
         del z, q  # not held through the next V-cycle
         if callback is not None:

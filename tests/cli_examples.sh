@@ -32,11 +32,16 @@ reconstruct() {
 
 msfuse gen-synthetic 64 64 5 --seed 7 --out-prefix demo_
 reconstruct demo_
-# and on a pair whose view passes fold 14 blocks each, so that
+# and on a pair whose view passes fold 24 blocks each, so that
 # blocks can finish out of order with two threads
 msfuse gen-synthetic 160 120 5 --seed 7 --out-prefix wide_
 echo "cost.d_max = 95" > wide.cfg
 reconstruct wide_ --config wide.cfg
+# and on an 8x6 pair, where the default radius-4 aggregation window is
+# clipped at both ends of every row and column
+msfuse gen-synthetic 8 6 1 --out-prefix tiny_
+echo "cost.d_max = 3" > tiny.cfg
+reconstruct tiny_ --config tiny.cfg
 # a header claiming more than its file holds (3.2 GB here, above the
 # address-space limit) is a bad image, exit 2, before any read allocates it
 printf 'P5\n40000 40000 65535\n0123456789' > forged.pgm

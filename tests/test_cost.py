@@ -120,11 +120,12 @@ class TestCensus:
     @example((np.array([[0.0], [1.0], [0.5]]), np.array([[1.0], [0.0], [0.0]])), 1)
     @example((np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])), 3)
     def test_mirrored_codes_keep_hamming_distances(self, pair, radius):
-        # the right view's pass reads np.fliplr of the left pass's codes in
-        # place of the codes of the mirrored images: their Hamming distances
-        # must agree at every column offset that cost_block compares
-        flipped = [np.fliplr(census_transform(img, radius)) for img in pair]
-        mirrored = [census_transform(np.fliplr(img), radius) for img in pair]
+        # the right view's pass reads the left pass's codes turned by 180
+        # degrees in place of the codes of the turned images: their Hamming
+        # distances must agree at every column offset that cost_block
+        # compares
+        flipped = [census_transform(img, radius)[::-1, ::-1] for img in pair]
+        mirrored = [census_transform(img[::-1, ::-1], radius) for img in pair]
         width = pair[0].shape[1]
         for c in range(width):
             np.testing.assert_array_equal(
@@ -141,15 +142,15 @@ class TestCostBlock:
              1, 3, 10.0)
     def test_mirrored_terms_give_the_mirrored_pairs_costs(self, pair, radius, n,
                                                          tau_grad):
-        # the right view's pass reads flipped views of the left pass's
-        # images and census codes in place of the terms of the mirrored
-        # images; every block's costs must agree byte for byte. A
-        # tau_grad above every gradient difference leaves that term
+        # the right view's pass reads views of the left pass's images and
+        # census codes turned by 180 degrees in place of the terms of the
+        # turned images, copied; every block's costs must agree byte for
+        # byte. A tau_grad above every gradient difference leaves that term
         # untruncated.
         left, right = pair
         params = CostParams(census_radius=radius, tau_grad=tau_grad)
         shared = mirrored_terms(cost_terms(left, right, params))
-        fresh = cost_terms(np.fliplr(right), np.fliplr(left), params)
+        fresh = cost_terms(right[::-1, ::-1].copy(), left[::-1, ::-1].copy(), params)
         shape = left.shape
         for c0 in range(shape[1] + 1):
             got, expected = (
@@ -162,7 +163,8 @@ class TestCostBlock:
 def test_cost_terms_hold_no_x_gradients():
     # cost_block forms the x-gradients in its work arrays, block by block:
     # the terms are the two images and their census codes, and the mirrored
-    # terms are flipped views of them, roles swapped
+    # terms are views of them turned by 180 degrees, roles swapped, which
+    # cost_block reads as flat views, with no copy
     rng = np.random.default_rng(24)
     left, right = rng.random((6, 9)), rng.random((6, 9))
     params = CostParams()
@@ -176,7 +178,8 @@ def test_cost_terms_hold_no_x_gradients():
     assert len(mirrored) == 4
     for view, term in zip(mirrored, (right, left, terms[3], terms[2])):
         assert view.base is term
-        np.testing.assert_array_equal(view, np.fliplr(term))
+        np.testing.assert_array_equal(view, np.rot90(term, 2))
+        assert np.shares_memory(view.reshape(-1), term)
 
 
 class TestMatchCost:

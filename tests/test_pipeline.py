@@ -43,8 +43,8 @@ def reference_run(left, right, config):
     pyr_l = wls.decompose(left, config.wls_params())
     pyr_r = wls.decompose(right, config.wls_params())
     d_left, minima = reference_view(pyr_l, pyr_r, config)
-    flip = lambda pyr: [np.fliplr(x) for x in pyr]
-    d_right = np.fliplr(reference_view(flip(pyr_r), flip(pyr_l), config)[0])
+    rotate = lambda pyr: [x[::-1, ::-1] for x in pyr]
+    d_right = reference_view(rotate(pyr_r), rotate(pyr_l), config)[0][::-1, ::-1]
     params = config.disparity_params()
     d = disparity.lr_consistency(d_left, d_right, params.lr_threshold)
     valid = d != INVALID_DISPARITY
@@ -169,6 +169,29 @@ def left_view_pass(pool, left, right, config):
     return pipeline._view_pass(pool, inputs, left.shape, config, False).result()[0]
 
 
+def test_right_pass_is_the_left_pass_of_the_rotated_pair():
+    # the right view's pass reads views of the left pass's terms turned by
+    # 180 degrees; its disparities must be those of a left pass over copies
+    # of the turned pyramids, bit for bit, before run turns them back
+    left, right, _ = random_dot_pair(48, 32, 5, 0)
+    config = PipelineConfig(STREAM_CONFIG)
+    pyr_l, pyr_r = (wls.decompose(img, config.wls_params()) for img in (left, right))
+    counts = aggregate.window_counts(left.shape, config.guided_filter_params().radius)
+
+    def view_pass(terms):
+        inputs = [pipeline._scale_inputs(t, config, counts) for t in terms]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return pipeline._view_pass(pool, inputs, left.shape, config,
+                                       False).result()[0]
+
+    shared = view_pass([cost.mirrored_terms(cost.cost_terms(l, r, config.cost_params()))
+                        for l, r in zip(pyr_l, pyr_r)])
+    fresh = view_pass([cost.cost_terms(r[::-1, ::-1].copy(), l[::-1, ::-1].copy(),
+                                       config.cost_params())
+                       for l, r in zip(pyr_l, pyr_r)])
+    assert shared.tobytes() == fresh.tobytes()
+
+
 def view_pass_peak(n_disp):
     """tracemalloc peak of one view pass at 160x120 on a one-worker pool."""
     left, right, _ = random_dot_pair(160, 120, 5, 0)
@@ -187,13 +210,14 @@ def test_view_pass_memory_independent_of_disparity_range():
 
 
 @pytest.mark.parametrize("size, settings, bound_mib", [
-    ((128, 96), {}, 6.05),
-    ((160, 120), {"cost.d_max": 95}, 8.3),
+    ((128, 96), {}, 4.82),
+    ((160, 120), {"cost.d_max": 95}, 6.3),
 ], ids=["128x96-d17", "160x120-d96"])
 def test_run_memory_bounded(monkeypatch, size, settings, bound_mib):
-    # tracemalloc peak of one run on one worker: 5.88 and 8.03 MiB. With
-    # each run's padded x-gradients held through both passes, and both
-    # running winners until the second pass ended, it read 7.02 and 9.82.
+    # tracemalloc peak of one run on one worker: 4.68 and 6.12 MiB. With
+    # 1 MiB blocks it read 5.88 and 8.03; with each run's padded
+    # x-gradients held through both passes, and both running winners until
+    # the second pass ended, 7.02 and 9.82.
     monkeypatch.setenv("MSFUSE_THREADS", "1")
     pipeline.run(*random_dot_pair(32, 24, 5, 1)[:2], PipelineConfig({}))  # first calls
     left, right, _ = random_dot_pair(*size, 5, 0)
@@ -248,15 +272,15 @@ def fused_block_calls(monkeypatch, config, size):
 
 
 def test_block_task_holds_four_blocks(monkeypatch):
-    # the block total, and the filter's padded buffer (which holds the raw
-    # block) and two temporaries, which the cost kernel borrows as its
-    # scratch: 4.135 blocks of 7 slices here, 4.173 measured with numpy's
-    # ufunc buffers cut to pipeline.UFUNC_BUFSIZE. With numpy's default
-    # (8192 elements per operand of a strided call) it reads 4.352.
+    # the block total, and the filter's three buffers (the first holds the
+    # raw block), whose other two the cost kernel borrows as its scratch:
+    # 4.106 blocks of 4 slices measured, with numpy's ufunc buffers cut to
+    # pipeline.UFUNC_BUFSIZE. With the padded integral buffer of the old
+    # box sums, 7-slice blocks read 4.173 (4.135 of them its border).
     config = PipelineConfig({"cost.d_max": 95})
     slice_bytes = 120 * 160 * 8
     calls = fused_block_calls(monkeypatch, config, (160, 120))
-    assert max(n for _, n, _ in calls) == 7  # 12 blocks of 7, 2 of 6
+    assert [n for _, n, _ in calls] == [4] * 24
     for _, n, rise in calls:
         assert rise < 4.2 * n * slice_bytes
 

@@ -342,9 +342,10 @@ class TestMultigrid:
 
     def test_filter_memory_bounded(self):
         # tracemalloc peak of one filter on a benchmark-size 8-bit image, in
-        # image-sized float64 arrays: 25.4 with banded operators, its setup
-        # below its solve; 33.5 with CSR ones and I + eta*A summed from an
-        # identity, whose sum alone peaked at 22
+        # image-sized float64 arrays: 24.7 with banded operators and CG's
+        # alpha*p and alpha*q written into z's array; 25.4 with those
+        # products allocated; 33.5 with CSR operators and I + eta*A summed
+        # from an identity, whose sum alone peaked at 22
         h = rdot8_192x256()
         wls_filter(h, WlsParams())  # scipy's first-call allocations
         tracemalloc.start()
@@ -353,7 +354,7 @@ class TestMultigrid:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 28 * h.nbytes, peak / h.nbytes
+        assert peak <= 26 * h.nbytes, peak / h.nbytes
 
     @pytest.mark.parametrize("shape", SHAPES + [(2, 300), (300, 2), (1, 1)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
@@ -709,12 +710,14 @@ class TestDecompose:
         )
     )
     def test_mirror_equivariant(self, img):
-        # the pipeline mirrors the left/right pyramids for the right view
-        # instead of decomposing the mirrored images
+        # the pipeline turns the left/right pyramids by 180 degrees for the
+        # right view instead of decomposing the turned images; mirroring
+        # commutes with the filter as well
         params = WlsParams()
-        mirrored = decompose(np.fliplr(img), params)
-        for base, flipped in zip(decompose(img, params), mirrored):
-            assert np.abs(np.fliplr(flipped) - base).max() <= 1e-6
+        bases = decompose(img, params)
+        for turn in (np.fliplr, lambda x: x[::-1, ::-1]):
+            for base, turned in zip(bases, decompose(turn(img), params)):
+                assert np.abs(turn(turned) - base).max() <= 1e-6
 
     def test_independent_of_blas_threads(self):
         # OpenBLAS reads its thread count once, at load: one process each
