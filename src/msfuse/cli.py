@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: decompose, reconstruct, eval-mask, gen-synthetic.
-Exit codes: 0 ok, 1 usage/contract, 2 I/O, 3 numeric failure.
+Exit codes: 0 ok, 1 usage/contract, 2 I/O, 3 numeric failure (a stalled WLS
+solve, an undefined mask metric); main maps the stages' errors to them.
 """
 
 import argparse
@@ -69,11 +70,7 @@ def _write_image(img, path, format):
 
 def cmd_decompose(args):
     config = _load_config(args.config)
-    img = _load(args.input)
-    try:
-        layers = wls.decompose(img, config.wls_params())
-    except wls.SolverError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc))
+    layers = wls.decompose(_load(args.input), config.wls_params())
     for s, layer in enumerate(layers):
         _write_image(layer, f"{args.out_prefix}base_{s}.pfm", "pfm")
     for s, detail in enumerate(wls.detail_layers(layers)):
@@ -86,10 +83,7 @@ def cmd_reconstruct(args):
     left = _load(args.left)
     right = _load(args.right)
     _check_same_size(args.left, left, args.right, right)
-    try:
-        rig = config.camera_rig(left.shape)
-    except (ConfigError, ValueError) as exc:
-        raise CliError(EXIT_USAGE, str(exc))
+    rig = config.camera_rig(left.shape)
 
     if args.dump_dir is not None:
         try:
@@ -97,11 +91,8 @@ def cmd_reconstruct(args):
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot create {args.dump_dir}: {exc}")
 
-    try:
-        d, outputs = pipeline.run(left, right, config,
-                                  collect=args.dump_dir is not None)
-    except wls.SolverError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc))
+    d, outputs = pipeline.run(left, right, config,
+                              collect=args.dump_dir is not None)
 
     _write_image(d, args.out_disparity, "pfm")
     cloud = triangulate(d, rig, intensity=left)
@@ -118,31 +109,22 @@ def cmd_eval_mask(args):
     truth = _load(args.truth)
     _check_same_size(args.pred, pred, args.truth, truth)
     counts = metrics.confusion(pred, truth)
-    try:
-        lines = [
-            f"acc={metrics.accuracy(counts):.4f}",
-            f"sen={metrics.sensitivity(counts):.4f}",
-        ]
-    except metrics.UndefinedMetricError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc))
+    lines = [
+        f"acc={metrics.accuracy(counts):.4f}",
+        f"sen={metrics.sensitivity(counts):.4f}",
+    ]
     if args.scores is not None:
         scores = _load(args.scores)
         _check_same_size(args.scores, scores, args.truth, truth)
-        try:
-            lines.append(f"auc={metrics.auc(scores, truth):.4f}")
-        except metrics.UndefinedMetricError as exc:
-            raise CliError(EXIT_NUMERIC, str(exc))
+        lines.append(f"auc={metrics.auc(scores, truth):.4f}")
     print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_gen_synthetic(args):
-    try:
-        left, right, gt = synth.random_dot_pair(
-            args.width, args.height, args.disparity, args.seed
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
+    left, right, gt = synth.random_dot_pair(
+        args.width, args.height, args.disparity, args.seed
+    )
     _write_image(left, f"{args.out_prefix}left.pgm", "pgm8")
     _write_image(right, f"{args.out_prefix}right.pgm", "pgm8")
     _write_image(gt, f"{args.out_prefix}gt.pfm", "pfm")
@@ -199,6 +181,10 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    # before ValueError: UndefinedMetricError is one
+    except (wls.SolverError, metrics.UndefinedMetricError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

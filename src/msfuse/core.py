@@ -169,15 +169,11 @@ def save_image(img, path, format="pfm"):
     """
     arr = validate_image(img)
     height, width = arr.shape
-    if format == "pgm8":
-        q = np.rint(np.clip(arr, 0.0, 1.0) * 255).astype(np.uint8)
+    if format in ("pgm8", "pgm16"):
+        maxval, dtype = (255, np.uint8) if format == "pgm8" else (65535, ">u2")
+        q = np.rint(np.clip(arr, 0.0, 1.0) * maxval).astype(dtype)
         with open(path, "wb") as f:
-            f.write(b"P5\n%d %d\n255\n" % (width, height))
-            f.write(q.tobytes())
-    elif format == "pgm16":
-        q = np.rint(np.clip(arr, 0.0, 1.0) * 65535).astype(">u2")
-        with open(path, "wb") as f:
-            f.write(b"P5\n%d %d\n65535\n" % (width, height))
+            f.write(b"P5\n%d %d\n%d\n" % (width, height, maxval))
             f.write(q.tobytes())
     elif format == "pfm":
         data = np.flipud(arr).astype("<f4")

@@ -114,7 +114,9 @@ def cost_block(terms, params, c0, out, work):
     Every term is one pass over the flattened images: at disparity c, left
     cell i against right cell i - c, so that the first c cells of a row
     meet the end of the row above. Those cells, whose right sample is out
-    of range, are then given the border cost.
+    of range, are then given the border cost. No ufunc call casts an
+    operand, as that allocates numpy's iteration buffers: the uint8 Hamming
+    counts are copied to a float64 work array, then weighted.
     """
     left, right, cen_l, cen_r = (t.reshape(-1) for t in terms)
     height, width = terms[0].shape
@@ -150,7 +152,8 @@ def cost_block(terms, params, c0, out, work):
         np.add(t, cost, out=cost)
         np.bitwise_xor(cen_l[cols], cen_r[src], out=xor[src])
         np.bitwise_count(xor[src], out=ham[src])
-        np.multiply(ham[src], params.w_cen, out=t)
+        t[...] = ham[src]
+        np.multiply(t, params.w_cen, out=t)
         np.divide(t, n_bits, out=t)
         np.add(cost, t, out=cost)
     border = params.w_ad * params.tau_ad + params.w_grad * params.tau_grad + params.w_cen

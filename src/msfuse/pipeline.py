@@ -28,13 +28,13 @@ float operations, in the same order, as on whole volumes. A block task
 thus holds four block-sized buffers and no other scratch: the total and
 the filter's three buffers. Every block-sized ufunc call of the cost
 kernel and the filter's box sums is one contiguous 1-D pass over
-flattened arrays. The task runs with numpy's ufunc buffers cut to
-UFUNC_BUFSIZE elements, in its own np.errstate scope: every call that
-casts an operand, such as the cost kernel's weighting of its uint8
-Hamming counts, would otherwise allocate buffers of 8192 elements per
-operand. The totals fold into a running winner (disparity.RunningWinner)
-in increasing disparity, so the result equals winner-take-all and
-subpixel refinement of the whole fused volume, bit for bit.
+flattened arrays. None casts an operand, as a casting call allocates
+numpy's iteration buffers, 8192 elements per operand, every time: the
+cost kernel copies its uint8 Hamming counts into a float64 work array
+before weighting them. The totals fold into a running winner
+(disparity.RunningWinner) in increasing disparity, so the result equals
+winner-take-all and subpixel refinement of the whole fused volume, bit
+for bit.
 
 One thread pool (MSFUSE_THREADS, 0 = auto) runs the stages, and every
 task receives resolved arrays: the two decompositions side by side, the
@@ -64,12 +64,6 @@ import numpy as np
 
 from . import aggregate, cost, disparity, fusion, wls
 from .core import INVALID_DISPARITY, CostVolume
-
-# Elements of numpy's iteration buffer per operand in a block task; numpy's
-# default, 8192, makes every ufunc call on a block that casts an operand
-# (the cost kernel's uint8 Hamming counts) allocate 64 KiB per float64
-# operand.
-UFUNC_BUFSIZE = 1024
 
 
 def thread_count():
@@ -155,10 +149,8 @@ def _view_pass(pool, inputs, shape, config, collect):
 
     def block_task(c0, block_shape, previous):
         nonlocal winner
-        with np.errstate():  # scopes the buffer size to this task
-            np.setbufsize(UFUNC_BUFSIZE)
-            total, block_minima = _fused_block(inputs, config, weights, c0,
-                                               block_shape, collect)
+        total, block_minima = _fused_block(inputs, config, weights, c0,
+                                           block_shape, collect)
         if previous is not None:
             previous.result()  # started before this task: running or done
         winner.fold(total)

@@ -49,6 +49,14 @@ status=0
 (ulimit -v 2000000; msfuse reconstruct forged.pgm forged.pgm \
     --out-disparity forged.pfm --out-cloud forged.ply) || status=$?
 test "$status" -eq 2
+# a WLS solve that misses its tolerance is a numeric failure, exit 3, and
+# writes no output
+echo "wls.max_iter = 1" > stall.cfg
+status=0
+msfuse reconstruct demo_left.pgm demo_right.pgm --config stall.cfg \
+    --out-disparity stall.pfm --out-cloud stall.ply || status=$?
+test "$status" -eq 3
+test ! -e stall.pfm && test ! -e stall.ply
 msfuse decompose demo_left.pgm --out-prefix layers_
 test "$(ls layers_* | wc -l)" -eq 7
 msfuse eval-mask demo_dumps_1_1/valid.pfm demo_dumps_1_1/valid.pfm \

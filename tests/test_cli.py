@@ -16,6 +16,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def stalled_solve_inputs(tmp_path):
+    """A 32x24 generated pair's left image path and a config whose WLS
+    solves stop after one CG iteration, far above their tolerance."""
+    assert run(["gen-synthetic", 32, 24, 3, "--out-prefix", f"{tmp_path}/"]) == 0
+    cfg = tmp_path / "stall.cfg"
+    cfg.write_text("wls.max_iter = 1\n")
+    return tmp_path / "left.pgm", cfg
+
+
 class TestGenSynthetic:
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):
@@ -102,6 +111,14 @@ class TestDecompose:
         assert f"bad image {path}:" in capsys.readouterr().err
         assert not list(tmp_path.glob("o_*"))
 
+    def test_stalled_solve_exit_3_no_outputs(self, tmp_path, capsys):
+        left, cfg = stalled_solve_inputs(tmp_path)
+        assert run(
+            ["decompose", left, "--config", cfg, "--out-prefix", tmp_path / "o_"]
+        ) == 3
+        assert "WLS solver stalled" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o_*"))
+
 
 class TestEvalMask:
     def _write_mask(self, path, arr):
@@ -155,6 +172,14 @@ class TestEvalMask:
         err = capsys.readouterr().err
         assert f"{tmp_path / 's.pfm'} is (3, 2)" in err
         assert f"{tmp_path / 't.pfm'} is (2, 3)" in err
+
+    def test_no_positives_exit_3(self, tmp_path, capsys):
+        self._write_mask(tmp_path / "p.pfm", np.ones((3, 3)))
+        self._write_mask(tmp_path / "t.pfm", np.zeros((3, 3)))
+        assert run(["eval-mask", tmp_path / "p.pfm", tmp_path / "t.pfm"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "sensitivity undefined without positives" in err
 
     def test_single_class_with_scores_exit_3(self, tmp_path):
         self._write_mask(tmp_path / "p.pfm", np.ones((3, 3)))
@@ -268,6 +293,17 @@ class TestReconstruct:
              "--out-disparity", tmp_path / "d.pfm", "--out-cloud", tmp_path / "c.ply"]
         ) == 1
         assert f"bad config {cfg}: " in capsys.readouterr().err
+
+    def test_stalled_solve_exit_3_no_outputs(self, tmp_path, capsys):
+        left, cfg = stalled_solve_inputs(tmp_path)
+        out_d, out_c = tmp_path / "d.pfm", tmp_path / "c.ply"
+        assert run(
+            ["reconstruct", left, tmp_path / "right.pgm", "--config", cfg,
+             "--out-disparity", out_d, "--out-cloud", out_c]
+        ) == 3
+        assert "WLS solver stalled" in capsys.readouterr().err
+        assert not out_d.exists()
+        assert not out_c.exists()
 
     def test_size_mismatch_exit_1(self, tmp_path, capsys):
         save_image(np.zeros((4, 4)), tmp_path / "a.pfm", format="pfm")

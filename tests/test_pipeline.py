@@ -274,15 +274,17 @@ def fused_block_calls(monkeypatch, config, size):
 def test_block_task_holds_four_blocks(monkeypatch):
     # the block total, and the filter's three buffers (the first holds the
     # raw block), whose other two the cost kernel borrows as its scratch:
-    # 4.106 blocks of 4 slices measured, with numpy's ufunc buffers cut to
-    # pipeline.UFUNC_BUFSIZE. With the padded integral buffer of the old
-    # box sums, 7-slice blocks read 4.173 (4.135 of them its border).
+    # 4.031-4.106 blocks of 4 slices measured. A ufunc call on a block that
+    # casts an operand allocates numpy's iteration buffers, 8192 elements
+    # per operand: weighting the uint8 Hamming counts with one read 4.19.
+    # With the padded integral buffer of the old box sums, 7-slice blocks
+    # read 4.173 (4.135 of them its border).
     config = PipelineConfig({"cost.d_max": 95})
     slice_bytes = 120 * 160 * 8
     calls = fused_block_calls(monkeypatch, config, (160, 120))
     assert [n for _, n, _ in calls] == [4] * 24
     for _, n, rise in calls:
-        assert rise < 4.2 * n * slice_bytes
+        assert rise < 4.15 * n * slice_bytes
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -292,15 +294,6 @@ def test_run_keeps_the_callers_numpy_settings(monkeypatch, threads):
     settings = np.getbufsize(), np.geterr()
     pipeline.run(left, right, PipelineConfig(STREAM_CONFIG))
     assert (np.getbufsize(), np.geterr()) == settings
-
-
-def test_block_tasks_scope_their_buffer_size():
-    # a later task on the same worker, as a WLS solve may be, runs with
-    # numpy's default buffer size
-    left, right, _ = random_dot_pair(48, 32, 5, 0)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        left_view_pass(pool, left, right, PipelineConfig(STREAM_CONFIG))
-        assert pool.submit(np.getbufsize).result() == np.getbufsize()
 
 
 def test_blocks_tile_the_disparity_range_evenly(monkeypatch):
