@@ -14,6 +14,9 @@ def random_dot_pair(width, height, disp, seed):
     at the right edge of the right image gets fresh random fill. Returns
     (left, right, gt) where gt is the constant true disparity map.
     """
+    for name, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise ValueError(f"{name} {size} must be at least 1")
     if disp < 0 or disp >= width / 4:
         raise ValueError(f"disparity {disp} must be in [0, width/4)")
     rng = np.random.default_rng(seed)

@@ -29,18 +29,18 @@ the guide's edges and are strongly anisotropic along them:
 On the benchmark's 8-bit 256x192 random-dot images CG needs 18/28/10
 iterations per level (linear interpolation with point Jacobi: 145/96/31).
 
-Every level's operator is a scipy ``dia_matrix`` with its bands in
-increasing offset order, written from its coupling grids, one per stencil
-neighbour, by one function (``_dia``, the inverse of ``_coupling``): the
-five bands -W, -1, 0, 1, W of I + eta*A (``build_system``), and the nine
-of each Galerkin level's 3x3 stencil. Diagonal storage holds no column
-indices and its product runs unit-stride loops over whole bands (Bell &
-Garland, SC 2009): the finest operator takes 5 image-sized arrays, against
-8 in CSR. The product adds the bands in order, as a CSR row with sorted
-columns is summed, so the finest products are those of the CSR assembly to
-the bit. The Galerkin operator P'AP is read off nine probe products, one
-per colour of coarse points (Curtis, Powell & Reid 1974), each made of the
-three products a V-cycle makes: no sparse matrix product and no CSR copy.
+Each level's 3x3 stencil is read once, off nine probe products, one per
+colour of grid points (``_stencil``; Curtis, Powell & Reid 1974): the
+finest off I + eta*A, the coarser ones off the three products a V-cycle
+makes. P and the line factors are built from those grids, and each
+operator is a scipy ``dia_matrix`` whose bands ``_dia`` writes once, in
+increasing offset order: the five bands -W, -1, 0, 1, W of I + eta*A
+(``build_system``), the nine of each coarser stencil. Diagonal storage
+holds no column indices and its product runs unit-stride loops over whole
+bands (Bell & Garland, SC 2009): the finest operator takes 5 image-sized
+arrays, against 8 in CSR. The product adds the bands in order, as a CSR
+row with sorted columns is summed, so the finest products are those of
+the CSR assembly to the bit.
 The sweeps call LAPACK through the function pointer that
 ``scipy.linalg.cython_lapack`` exports, with ctypes, which releases the GIL
 (scipy's f2py wrappers hold it), so the two views' concurrent
@@ -56,6 +56,7 @@ thread server.
 import ctypes
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
@@ -170,10 +171,10 @@ def build_system(guide, params):
 
 
 def _dia(couplings, shape):
-    """The dia_matrix of the ``couplings`` on a ``shape`` grid, the inverse
-    of ``_coupling``: a dict of grids, the one of key (dy, dx) holding
-    a[q, q'] at each point q for its (dy, dx) neighbour q', zero where q'
-    is off the grid.
+    """The dia_matrix of the ``couplings`` on a ``shape`` grid, which
+    ``_stencil`` reads back: a dict of grids, the one of key (dy, dx)
+    holding a[q, q'] at each point q for its (dy, dx) neighbour q', zero
+    where q' is off the grid.
 
     The grid goes into the band of offset dy*width + dx, which scipy stores
     at column q' = q + offset. Grids whose offsets coincide sum into one band
@@ -198,35 +199,39 @@ def _dia(couplings, shape):
     return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
-def _coupling(a, shape, dy, dx):
-    """Entries a[q, q'] from each point q of the ``shape`` grid to its
-    (dy, dx) neighbour q', as a grid; zero where q' is off the grid.
+def _stencil(apply, shape, offsets):
+    """The couplings (``_dia``'s dict of grids) of the operator ``apply``
+    on a ``shape`` grid to each neighbour (dy, dx) whose band offset
+    dy*width + dx is in ``offsets``, read off nine probe products.
 
-    Read from the band of offset dy*width + dx of ``a``, a dia_matrix (whose
-    ``diagonal`` is a view) or any matrix with its ``diagonal``. The band
-    also holds couplings that wrap round a row end (on a width-2 grid the
-    east and the south-west offset are both 1), so the off-grid column is
-    zeroed.
+    The operator's stencil is 3x3 (Dendy 1982), and the 3x3 neighbourhood of
+    every point holds one point of each colour (i % 3, j % 3). So with e the
+    indicator of one colour, (Ae)_q is q's coupling to its neighbour of that
+    colour, and exactly 0 where that neighbour is off the grid (Curtis,
+    Powell & Reid, IMA J. Appl. Math. 1974). The probe has the coupling's
+    bits: a banded product sums one stored entry times 1.0 and zeros, and
+    no row of P or AP has two entries of one colour, so P'(A(Pe)) sums the
+    terms of the CSR product P'AP in its order, with zeros between them.
     """
     height, width = shape
-    n = height * width
-    offset = dy * width + dx
-    out = np.zeros(n)
-    if abs(offset) < n:
-        band = a.diagonal(offset)
-        if offset >= 0:
-            out[:n - offset] = band
-        else:
-            out[-offset:] = band
-    out = out.reshape(shape)
-    if dx:
-        out[:, -1 if dx > 0 else 0] = 0.0
-    return out
+    stencil = {(dy, dx): np.empty(shape) for dy in (-1, 0, 1)
+               for dx in (-1, 0, 1) if dy * width + dx in offsets}
+    for cy in range(3):
+        for cx in range(3):
+            e = np.zeros(shape)
+            e[cy::3, cx::3] = 1.0
+            y = apply(e.ravel()).reshape(shape)
+            for (dy, dx), c in stencil.items():
+                # the points whose (dy, dx) neighbour has e's colour
+                rows = slice((cy - dy) % 3, None, 3)
+                cols = slice((cx - dx) % 3, None, 3)
+                c[rows, cols] = y[rows, cols]
+    return stencil
 
 
-def _operator_interpolation(a, shape):
-    """Operator-dependent interpolation P from the coarse grid of the even
-    rows and columns (Dendy 1982, de Zeeuw 1990).
+def _operator_interpolation(stencil, shape):
+    """Operator-dependent interpolation P of the ``stencil`` (``_stencil``)
+    from the grid of even rows and columns (Dendy 1982, de Zeeuw 1990).
 
     A coarse point copies itself. A fine point between two coarse points in
     x (in y) takes the weights of its equation with the 3x3 stencil summed
@@ -239,16 +244,13 @@ def _operator_interpolation(a, shape):
     height, width = shape
     ch, cw = (height + 1) // 2, (width + 1) // 2
     # column sums at x-edge points (even row, odd column), row sums at
-    # y-edge points (odd row, even column), the full stencil at centre ones
-    col_sums = [np.zeros((ch, width // 2)) for _ in range(3)]
-    row_sums = [np.zeros((height // 2, cw)) for _ in range(3)]
-    stencil = {}
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            c = _coupling(a, shape, dy, dx)
-            col_sums[dx + 1] += c[0::2, 1::2]
-            row_sums[dy + 1] += c[1::2, 0::2]
-            stencil[dy, dx] = c[1::2, 1::2].copy()
+    # y-edge points (odd row, even column), the full stencil at centre ones;
+    # a neighbour without a grid has zero coupling
+    col_sums = [sum(g[0::2, 1::2] for (_, dx), g in stencil.items() if dx == k)
+                for k in (-1, 0, 1)]
+    row_sums = [sum(g[1::2, 0::2] for (dy, _), g in stencil.items() if dy == k)
+                for k in (-1, 0, 1)]
+    c = defaultdict(float, {key: g[1::2, 1::2] for key, g in stencil.items()})
     # edge weights, padded by one zero line so that each centre point finds
     # the edge points on both its sides (a missing one has zero coupling)
     west, east = (np.zeros((height // 2 + 1, width // 2)) for _ in range(2))
@@ -268,7 +270,6 @@ def _operator_interpolation(a, shape):
     weights[1::2, 0::2, 2] = south[:, :cw]
     # a centre point's weight to a corner: its coupling to that corner plus
     # its couplings to the two edge points beside it times their weights
-    c = stencil
     centre = weights[1::2, 1::2]
     centre[..., 0] = c[-1, -1] + c[-1, 0] * west[:-1] + c[0, -1] * north[:, :-1]
     centre[..., 1] = c[-1, 1] + c[-1, 0] * east[:-1] + c[0, 1] * north[:, 1:]
@@ -276,24 +277,30 @@ def _operator_interpolation(a, shape):
     centre[..., 3] = c[1, 1] + c[1, 0] * east[1:] + c[0, 1] * south[:, 1:]
     centre /= -c[0, 0][..., None]
 
-    rows, cols = np.indices((height, width), dtype=np.int32) // 2
-    columns = (rows * cw + cols)[..., None] + np.array([0, 1, cw, cw + 1],
-                                                       dtype=np.int32)
     keep = weights != 0.0
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2).ravel())))
-    return sp.csr_matrix((weights[keep], columns[keep], indptr),
+    # the column of (I, J) at each fine point, broadcast to its four weights
+    base = np.add.outer(np.arange(height, dtype=np.int32) // 2 * cw,
+                        np.arange(width, dtype=np.int32) // 2)[..., None]
+    columns = np.broadcast_to(base, keep.shape)[keep]
+    columns += np.broadcast_to(np.array([0, 1, cw, cw + 1], dtype=np.int32),
+                               keep.shape)[keep]
+    indptr = np.zeros(height * width + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
+    return sp.csr_matrix((weights[keep], columns, indptr),
                          shape=(height * width, ch * cw))
 
 
-def _line_factors(a, shape):
+def _line_factors(stencil, shape):
     """LDL' factors (LAPACK dpttrf) of the x-line and the y-line parts of
-    ``a``: its tridiagonal couplings along each grid row, in row-major
-    order, and along each column, in column-major order. A zero coupling
-    at each line end splits one factorization into independent lines."""
-    diagonal = _coupling(a, shape, 0, 0)
+    the operator of the ``stencil`` (``_stencil``) on a ``shape`` grid: its
+    tridiagonal couplings along each grid row, in row-major order, and along
+    each column, in column-major order. A zero coupling at each line end
+    splits one factorization into independent lines; a missing grid (on a
+    grid one row high) holds zeros."""
+    diagonal = stencil[0, 0]
     factors = []
-    for d, e in ((diagonal, _coupling(a, shape, 0, 1)),
-                 (diagonal.T, _coupling(a, shape, 1, 0).T)):
+    for d, e in ((diagonal, stencil.get((0, 1), np.zeros(shape))),
+                 (diagonal.T, stencil.get((1, 0), np.zeros(shape)).T)):
         d, e, info = dpttrf(d.ravel(), e.ravel()[:-1])
         if info:
             raise np.linalg.LinAlgError(
@@ -324,10 +331,10 @@ def multigrid_preconditioner(system, shape):
     dia_matrix with its bands in increasing offset order (``build_system``),
     as a function of a 1-D residual, which it does not write into.
 
-    Level l+1 is the Galerkin product P'A_lP, P the operator-dependent
-    interpolation (``_operator_interpolation``) from the grid of even rows
-    and columns, down to a grid of at most COARSEST_UNKNOWNS unknowns solved
-    by LU. Each level relaxes with exact line solves: x-lines then y-lines
+    Level l+1 is the Galerkin product P'A_lP, read off probes (``_stencil``),
+    P the operator-dependent interpolation (``_operator_interpolation``)
+    from the grid of even rows and columns, down to a grid of at most
+    COARSEST_UNKNOWNS unknowns solved by LU. Each level relaxes with exact line solves: x-lines then y-lines
     before its coarse correction, y-lines then x-lines after it, so the
     V-cycle is symmetric. A line sweep x += T^-1 (r - Ax) contracts in the
     A-norm because 2T - A is A with the sign of every coupling between
@@ -345,46 +352,25 @@ def _levels(system, shape):
     ``system`` itself, P' the CSC view ``p.T`` of P's arrays, whose products
     sum as a CSR copy's do. Both line sweeps solve in ``buffer``, the first
     unknowns of one buffer that all levels share, which holds nothing of a
-    level while the coarser levels run."""
+    level while the coarser levels run. Each level's stencil is read once
+    (``_stencil``), the coarser ones off the products P'(A(Pv)), and gives
+    its P, its line factors and a coarser level's bands (``_dia``)."""
     shared = np.empty(system.shape[0])
     levels = []
     a = system
+    stencil = _stencil(system.__matmul__, shape, system.offsets)
     while a.shape[0] > COARSEST_UNKNOWNS:
-        p = _operator_interpolation(a, shape)
+        p = _operator_interpolation(stencil, shape)
         buffer = shared[:a.shape[0]]
-        sweeps = [_line_sweep(d, e, buffer) for d, e in _line_factors(a, shape)]
+        sweeps = [_line_sweep(d, e, buffer)
+                  for d, e in _line_factors(stencil, shape)]
         levels.append((a, p, p.T, shape, buffer, sweeps))
         shape = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
-        a = _galerkin(a, p, shape)
+        nine = [dy * shape[1] + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+        del stencil  # freed before the coarser one is read
+        stencil = _stencil(lambda v: p.T @ (a @ (p @ v)), shape, nine)
+        a = _dia(stencil, shape)
     return levels, splu(a.tocsc())
-
-
-def _galerkin(a, p, shape):
-    """The coarse operator P'AP on the ``shape`` grid as a dia_matrix
-    (``_dia``), read off nine probe products P'(A(Pe)): the products a
-    V-cycle makes, for which ``a`` may be any matrix with ``@``.
-
-    P'AP is a 3x3 stencil (Dendy 1982), and the 3x3 neighbourhood of every
-    point holds one point of each colour (i % 3, j % 3). So with e the
-    indicator of one colour, (P'APe)_q is q's coupling to its neighbour of
-    that colour, and exactly 0 where that neighbour is off the grid (Curtis,
-    Powell & Reid, IMA J. Appl. Math. 1974). No row of P or of AP has two
-    entries of one colour, so each probe sums the terms of the CSR product
-    P'AP in its order, with zeros between them: the same bits.
-    """
-    couplings = {(dy, dx): np.empty(shape)
-                 for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
-    for cy in range(3):
-        for cx in range(3):
-            e = np.zeros(shape)
-            e[cy::3, cx::3] = 1.0
-            y = (p.T @ (a @ (p @ e.ravel()))).reshape(shape)
-            for (dy, dx), c in couplings.items():
-                # the points whose (dy, dx) neighbour has e's colour
-                rows = slice((cy - dy) % 3, None, 3)
-                cols = slice((cx - dx) % 3, None, 3)
-                c[rows, cols] = y[rows, cols]
-    return _dia(couplings, shape)
 
 
 def _relax(level, r, x, axis):
@@ -492,16 +478,8 @@ def wls_filter(h, params):
         nonlocal iterations
         iterations += 1
 
-    x, _ = cg(
-        system,
-        b,
-        x0=b,
-        rtol=params.solver_tol,
-        atol=0.0,
-        maxiter=params.max_iter,
-        M=precond,
-        callback=count,
-    )
+    x, _ = cg(system, b, x0=b, rtol=params.solver_tol, atol=0.0,
+              maxiter=params.max_iter, M=precond, callback=count)
     residual = _norm(system @ x - b) / b_norm
     if residual > params.solver_tol:
         raise SolverError(residual, params.solver_tol, iterations)

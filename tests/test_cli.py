@@ -46,6 +46,15 @@ class TestGenSynthetic:
     def test_invalid_geometry_exit_1(self, tmp_path):
         assert run(["gen-synthetic", 16, 8, 8, "--out-prefix", f"{tmp_path}/"]) == 1
 
+    @pytest.mark.parametrize("size, named", [((0, 8), "width 0"),
+                                             ((8, 0), "height 0")])
+    def test_empty_size_named(self, tmp_path, capsys, size, named):
+        # the bad size is blamed, not the valid disparity, and nothing is
+        # written
+        assert run(["gen-synthetic", *size, 0, "--out-prefix", f"{tmp_path}/"]) == 1
+        assert named in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_shift_content(self, tmp_path):
         assert run(["gen-synthetic", 24, 8, 3, "--out-prefix", f"{tmp_path}/"]) == 0
         left = load_image(tmp_path / "left.pgm")

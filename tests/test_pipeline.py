@@ -192,6 +192,22 @@ def test_right_pass_is_the_left_pass_of_the_rotated_pair():
     assert shared.tobytes() == fresh.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_swapped_mirrored_views_mirror_the_disparity(seed):
+    # the mirrored right image as the left view and the mirrored left as
+    # the right give the mirrored disparity of a constant-disparity pair,
+    # up to the forward-difference gradients' offset of one pixel in x
+    # (0.16-0.22 px measured), where both LR checks pass (84%)
+    left, right, _ = random_dot_pair(64, 48, 5, seed)
+    config = PipelineConfig({"cost.d_max": 16})
+    d, outputs = pipeline.run(left, right, config)
+    swapped, swapped_outputs = pipeline.run(np.fliplr(right), np.fliplr(left),
+                                            config)
+    both = outputs["valid"] & np.fliplr(swapped_outputs["valid"])
+    assert both.mean() >= 0.8
+    assert np.abs(np.fliplr(swapped) - d)[both].max() <= 0.5
+
+
 def view_pass_peak(n_disp):
     """tracemalloc peak of one view pass at 160x120 on a one-worker pool."""
     left, right, _ = random_dot_pair(160, 120, 5, 0)

@@ -197,6 +197,11 @@ def csr_system(h, params):
     return system
 
 
+def nine_offsets(shape):
+    """The band offsets of all nine 3x3 neighbours on a ``shape`` grid."""
+    return [dy * shape[1] + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+
+
 def hierarchy(system, shape):
     """(A_l, shape_l) of each multigrid level above the direct solve."""
     for a, _, _, level_shape, _, _ in wls._levels(system, shape)[0]:
@@ -288,7 +293,8 @@ class TestMultigrid:
             scale = np.abs(a.diagonal()).max()
             csr = a.tocsr()
             grid = np.arange(a.shape[0]).reshape(level_shape)
-            for (d, e), lines in zip(wls._line_factors(a, level_shape),
+            stencil = wls._stencil(a.__matmul__, level_shape, a.offsets)
+            for (d, e), lines in zip(wls._line_factors(stencil, level_shape),
                                      (grid, grid.T)):
                 # the factors hold the lines one after another, and the
                 # coupling from each line's end to the next line is zero
@@ -313,19 +319,23 @@ class TestMultigrid:
         guide = np.random.default_rng(shape[0] * 3 + shape[1]).random(shape)
         a = dense_laplacian(guide, WlsParams())
         for _ in range(2):
-            p = wls._operator_interpolation(a, shape)
+            p = wls._operator_interpolation(
+                wls._stencil(lambda v: a @ v, shape, nine_offsets(shape)), shape)
             coarse = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
             assert p.indices.max() < p.shape[1]
             assert (p.data != 0).all()
             np.testing.assert_allclose(p @ np.ones(p.shape[1]), 1.0, rtol=1e-10)
             copies = p[np.arange(a.shape[0]).reshape(shape)[::2, ::2].ravel()]
             assert (copies != sp.eye(p.shape[1])).nnz == 0
-            a, shape = wls._galerkin(a, p, coarse), coarse
+            a = wls._dia(wls._stencil(lambda v: p.T @ (a @ (p @ v)), coarse,
+                                      nine_offsets(coarse)), coarse)
+            shape = coarse
 
     def test_setup_memory_bounded(self):
         # tracemalloc of building one hierarchy on a benchmark-size 8-bit
         # image, from the operator wls_filter builds, which the finest level
-        # owns: the V-cycle keeps 5.4 MiB and peaks at 6.8 MiB; a Galerkin
+        # owns: the V-cycle keeps 5.4 MiB and peaks at 6.5 MiB; reading each
+        # level's bands back into grids peaked at 6.8, a Galerkin
         # product through a CSR copy of each level and AP peaked at 7.6,
         # with CSR operators it kept 6.0, and a CSR copy of each level's
         # restriction kept 7.7
@@ -339,6 +349,22 @@ class TestMultigrid:
             tracemalloc.stop()
         assert retained <= 5.75 * 2**20, retained / 2**20
         assert peak <= 7.0 * 2**20, peak / 2**20
+
+    def test_interpolation_memory_bounded(self):
+        # tracemalloc peak of the finest level's P on a benchmark-size 8-bit
+        # image above its stencil, in image-sized float64 arrays: 11.4 with
+        # the centre grids as views and P's columns made for kept entries
+        # only; 17.1 with copies, index grids and an (H, W, 4) column stage
+        h = rdot8_192x256()
+        system = build_system(h, WlsParams())
+        stencil = wls._stencil(system.__matmul__, h.shape, system.offsets)
+        tracemalloc.start()
+        try:
+            wls._operator_interpolation(stencil, h.shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * h.nbytes, peak / h.nbytes
 
     def test_filter_memory_bounded(self):
         # tracemalloc peak of one filter on a benchmark-size 8-bit image, in
@@ -381,7 +407,8 @@ class TestMultigrid:
            seed=st.integers(0, 2**32 - 1))
     def test_dia_inverts_coupling(self, height, width, keys, seed):
         # on thin grids the offsets of different neighbours coincide or
-        # leave the matrix; each coupling must still come back bit for bit
+        # leave the matrix; each coupling must still come back bit for bit,
+        # and a neighbour without a grid has none on the matrix either
         rng = np.random.default_rng(seed)
         rows, cols = np.indices((height, width))
         couplings = {}
@@ -392,9 +419,11 @@ class TestMultigrid:
                                          0.0)
         a = wls._dia(couplings, (height, width))
         assert (np.diff(a.offsets) > 0).all()
+        stencil = wls._stencil(a.__matmul__, (height, width), a.offsets)
+        zero = np.zeros((height, width))
         for dy, dx in self.NEIGHBOURS:
-            expected = couplings.get((dy, dx), np.zeros((height, width)))
-            got = wls._coupling(a, (height, width), dy, dx)
+            expected = couplings.get((dy, dx), zero)
+            got = stencil.get((dy, dx), zero)
             assert got.tobytes() == expected.tobytes(), (dy, dx)
 
     @pytest.mark.parametrize("shape", SHAPES + [(2, 300), (300, 2), (96, 128)],
@@ -514,7 +543,8 @@ class TestLineSweep:
         for level in levels:
             a, _, _, (height, width), _, _ = level
             r, x = rng.standard_normal((2, a.shape[0]))
-            for axis, (d, e) in enumerate(wls._line_factors(a, (height, width))):
+            stencil = wls._stencil(a.__matmul__, (height, width), a.offsets)
+            for axis, (d, e) in enumerate(wls._line_factors(stencil, (height, width))):
                 self.check_sweep(d, e, r)
                 residual = r - a @ x
                 if axis:
